@@ -13,22 +13,35 @@ the placement window, against a lazily rebuilt prefix-sum ``heights`` array
 (one C-speed :func:`itertools.accumulate` per mutation batch) -- the
 dominant cost of list scheduling before this was rebuilding segment tuples
 and sweeping every segment from time zero on every query.
+
+The propagator's two-sided query, :meth:`TimetableProfile.fit_bounds`, goes
+one step further (compare the sweep-based time-tabling of Letort, Beldiceanu
+& Carlsson, CP 2012): for a given ``limit = capacity - demand`` it only ever
+reacts to the pieces that block, so it answers from a *blocked-run index* --
+the merged maximal runs of pieces with ``h != 0 and h > limit`` -- built
+once per limit after a mutation.  A query then bisects into the runs and
+steps over the few that overlap the placement window instead of every
+breakpoint in it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: A maximal constant-height piece of the profile: (start, end, height).
 Segment = Tuple[int, int, int]
+
+#: Blocked runs for one limit: parallel (starts, ends) lists, sorted and
+#: disjoint, with no two runs touching (touching runs are merged).
+BlockedRuns = Tuple[List[int], List[int]]
 
 
 class TimetableProfile:
     """A mutable step function built from half-open usage intervals."""
 
-    __slots__ = ("_times", "_deltas", "_heights", "_segments_cache")
+    __slots__ = ("_times", "_deltas", "_heights", "_segments_cache", "_runs")
 
     def __init__(self) -> None:
         self._times: List[int] = []
@@ -38,6 +51,9 @@ class TimetableProfile:
         self._heights: Optional[List[int]] = None
         #: Memoised segments(); rebuilt lazily after mutations.
         self._segments_cache: Optional[List[Segment]] = None
+        #: Blocked-run index per ``capacity - demand`` limit (see
+        #: :meth:`_blocked_runs`); dropped on every mutation.
+        self._runs: Optional[Dict[int, BlockedRuns]] = None
 
     def add(self, start: int, end: int, demand: int) -> None:
         """Consume ``demand`` units over ``[start, end)``.
@@ -50,6 +66,7 @@ class TimetableProfile:
         if end <= start or demand == 0:
             return
         self._segments_cache = None
+        self._runs = None
         times = self._times
         deltas = self._deltas
         h = self._heights
@@ -180,6 +197,35 @@ class TimetableProfile:
                 i += 1
         return s if s <= lst else None
 
+    def _blocked_runs(self, limit: int) -> BlockedRuns:
+        """Merged maximal runs of pieces with ``h != 0 and h > limit``.
+
+        A zero-height piece never blocks, even when ``limit < 0`` (demand
+        above capacity): only load already in the profile can push a task
+        away.  Built from the prefix heights on the first query per limit
+        after a mutation (:meth:`fit_bounds` checks ``_runs`` first);
+        :meth:`add` drops every cached limit.
+        """
+        runs = self._runs
+        if runs is None:
+            runs = self._runs = {}
+        starts: List[int] = []
+        ends: List[int] = []
+        blocking = False
+        # Piece i starts at times[i] with height heights[i].  The last piece
+        # [times[-1], inf) has height 0 (every add pairs +d with -d), so it
+        # never blocks and closes any open run.
+        for t, h in zip(self._times, self._height_array()):
+            if h != 0 and h > limit:
+                if not blocking:
+                    starts.append(t)
+                    blocking = True
+            elif blocking:
+                ends.append(t)
+                blocking = False
+        runs[limit] = (starts, ends)
+        return starts, ends
+
     def fit_bounds(
         self,
         est: int,
@@ -188,63 +234,45 @@ class TimetableProfile:
         demand: int,
         capacity: int,
     ) -> Optional[Tuple[int, int]]:
-        """``(earliest_fit, latest_fit)`` in one sweep setup, or None.
+        """``(earliest_fit, latest_fit)`` of a task in ``[est, lst]``, or None.
 
-        Exactly equivalent to calling :meth:`earliest_fit` then
-        :meth:`latest_fit`, but the propagator hot loop pays the call and
-        bisect setup once.  Returns None when no placement fits (both
-        queries fail together: a feasible placement exists iff either
-        sweep finds one).
+        The earliest fit is the first start ``s >= est`` whose window
+        ``[s, s + length)`` meets no blocked run; the latest fit mirrors it
+        from ``lst`` leftwards.  Returns None when no placement fits (both
+        sweeps fail together: a feasible placement exists iff either sweep
+        finds one).  A zero-length or zero-demand task fits anywhere.
         """
-        if length == 0 or demand == 0:
+        if length == 0 or demand == 0 or not self._times:
             return est, lst
-        times = self._times
-        n = len(times)
-        if not n:
-            return est, lst
-        heights = self._heights
-        if heights is None:
-            heights = self._heights = list(accumulate(self._deltas))
         limit = capacity - demand
+        runs = self._runs
+        index = runs.get(limit) if runs is not None else None
+        starts, ends = index if index is not None else self._blocked_runs(limit)
+        # Earliest: jump past every run overlapping the window; runs never
+        # touch, so after a jump only the next run can overlap.
         s = est
-        i = bisect_right(times, s) - 1
-        if i < 0:
-            i = 0
-        last = n - 1
-        while i < last:
-            if times[i] >= s + length:
-                break
-            h = heights[i]
-            if h != 0 and h > limit:
-                b = times[i + 1]
-                if b > s:
-                    s = b
-                    if s > lst:
-                        return None
-            i += 1
+        j = bisect_right(ends, s)
+        k = len(ends)
+        while j < k and starts[j] < s + length:
+            s = ends[j]
+            if s > lst:
+                return None
+            j += 1
         if s > lst:
             return None
         early = s
+        # Latest: the mirror, from the last run starting inside the window.
         s = lst
-        i = bisect_left(times, s + length) - 1
-        if i > n - 2:
-            i = n - 2
-        while i >= 0:
-            if times[i] >= s + length:
-                i -= 1
-                continue
-            if times[i + 1] <= s:
-                break
-            h = heights[i]
-            if h != 0 and h > limit:
-                s = times[i] - length
-                if s < est:
-                    # Unreachable when the earliest sweep succeeded (a
-                    # feasible placement bounds the latest sweep from
-                    # below); surface the inverted window to the caller
-                    # rather than masking it as "no placement".
-                    return early, s
-            i -= 1
+        j = bisect_left(starts, s + length) - 1
+        while j >= 0 and ends[j] > s:
+            s = starts[j] - length
+            if s < est:
+                # Unreachable when the earliest sweep succeeded (a
+                # feasible placement bounds the latest sweep from
+                # below); surface the inverted window to the caller
+                # rather than masking it as "no placement".
+                return early, s
+            j -= 1
         return early, s
 
     def place_earliest(
@@ -261,86 +289,3 @@ class TimetableProfile:
         if s is not None:
             self.add(s, s + length, demand)
         return s
-
-    def latest_fit(
-        self,
-        est: int,
-        lst: int,
-        length: int,
-        demand: int,
-        capacity: int,
-    ) -> Optional[int]:
-        """Last start ``s`` in ``[est, lst]`` where the task fits, else None."""
-        if length == 0 or demand == 0:
-            return lst
-        times = self._times
-        n = len(times)
-        s = lst
-        if n:
-            heights = self._height_array()
-            limit = capacity - demand
-            # Sweep right-to-left from the last piece starting before the
-            # placement window's end.
-            i = bisect_left(times, s + length) - 1
-            if i > n - 2:
-                i = n - 2
-            while i >= 0:
-                if times[i] >= s + length:
-                    i -= 1
-                    continue
-                if times[i + 1] <= s:
-                    break
-                h = heights[i]
-                if h != 0 and h > limit:
-                    s = times[i] - length
-                    if s < est:
-                        return None
-                i -= 1
-        return s if s >= est else None
-
-
-def earliest_fit_in_segments(
-    segments: Iterable[Segment],
-    est: int,
-    lst: int,
-    length: int,
-    demand: int,
-    capacity: int,
-) -> Optional[int]:
-    """Sweep ``segments`` (sorted) for the earliest conflict-free placement.
-
-    The candidate start only ever moves right, so one pass suffices.
-    """
-    s = est
-    for a, b, h in segments:
-        if b <= s:
-            continue
-        if a >= s + length:
-            break
-        if h + demand > capacity:
-            s = b
-            if s > lst:
-                return None
-    return s if s <= lst else None
-
-
-def latest_fit_in_segments(
-    segments: List[Segment],
-    est: int,
-    lst: int,
-    length: int,
-    demand: int,
-    capacity: int,
-) -> Optional[int]:
-    """Mirror of :func:`earliest_fit_in_segments`, sweeping right-to-left."""
-    s = lst
-    for a, b, h in reversed(segments):
-        if a >= s + length:
-            continue
-        if b <= s:
-            break
-        if h + demand > capacity:
-            s = a - length
-            if s < est:
-                return None
-    return s if s >= est else None

@@ -256,9 +256,12 @@ class CumulativePropagator(Propagator):
                     f"{self.name}: internal time-table inconsistency -- "
                     f"earliest fit {fit} for {iv.name} after latest {late_fit}"
                 )
-            if present:
-                changed = start.set_min(fit, engine)
-                changed |= start.set_max(late_fit, engine)
+            if present and (fit > smin or late_fit < smax):
+                # Most sweeps leave the window as it was; only a bound that
+                # moves pays for a setter call.
+                changed = fit > smin and start.set_min(fit, engine)
+                if late_fit < smax and start.set_max(late_fit, engine):
+                    changed = True
                 if changed and start._max < start._min + length:
                     # The interval gained a compulsory part: re-run so the
                     # profile (and other tasks) see it.

@@ -54,24 +54,38 @@ class DeadlineIndicatorPropagator(Propagator):
 
     def propagate(self, engine: "Engine") -> None:
         d = self.deadline
-        completion_min = max(iv.start._min + iv.length for iv in self.tasks)
-        completion_max = max(iv.start._max + iv.length for iv in self.tasks)
+        tasks = self.tasks
+        completion_min = completion_max = tasks[0].start._min + tasks[0].length
+        for iv in tasks:
+            start = iv.start
+            length = iv.length
+            end = start._min + length
+            if end > completion_min:
+                completion_min = end
+            end = start._max + length
+            if end > completion_max:
+                completion_max = end
 
-        if completion_min > d:
-            # The job cannot finish on time in any extension of this node.
-            self.indicator.set_true(engine)
-        if completion_max <= d:
-            # The job is on time in every extension.
-            self.indicator.set_false(engine)
+        flag = self.indicator.domain
+        if completion_min > d and flag._min == 0:
+            # The job cannot finish on time in any extension of this node
+            # (raises when the indicator is already fixed to 0).
+            flag.set_min(1, engine)
+        if completion_max <= d and flag._max == 1:
+            # The job is on time in every extension (raises when fixed to 1).
+            flag.set_max(0, engine)
 
-        if self.indicator.is_fixed:
-            if self.indicator.value == 0:
-                # On-time: every last-stage task must end by the deadline.
-                for iv in self.tasks:
-                    iv.set_end_max(d, engine)
+        if flag._min == flag._max:
+            if flag._max == 0:
+                # On-time: every last-stage task must end by the deadline;
+                # only tasks that can still end after it move.
+                for iv in tasks:
+                    start = iv.start
+                    if start._max + iv.length > d:
+                        start.set_max(d - iv.length, engine)
             else:
                 # Late: at least one task must end after the deadline.
-                can_be_late = [iv for iv in self.tasks if iv.lct > d]
+                can_be_late = [iv for iv in tasks if iv.lct > d]
                 if not can_be_late:
                     raise Infeasible(
                         f"{self.name}: indicator forced true but no task "

@@ -60,20 +60,36 @@ class BarrierPropagator(Propagator):
             yield iv.start, MAX_EVENT, None
 
     def propagate(self, engine: "Engine") -> None:
-        if not self.first or not self.second:
+        first = self.first
+        second = self.second
+        if not first or not second:
             return
         # Forward: no second-stage task may start before every first-stage
-        # task can have completed (plus the transfer delay).
-        barrier_min = (
-            max(iv.start._min + iv.length for iv in self.first) + self.delay
-        )
-        for iv in self.second:
-            iv.start.set_min(barrier_min, engine)
+        # task can have completed (plus the transfer delay).  Setters run
+        # only where a bound moves; the same pass over the second stage
+        # collects the latest moment any of its tasks could still start
+        # (raising a start's min never moves its max).
+        completion = first[0].start._min + first[0].length
+        for iv in first:
+            end = iv.start._min + iv.length
+            if end > completion:
+                completion = end
+        barrier_min = completion + self.delay
+        latest_start = second[0].start._max
+        for iv in second:
+            start = iv.start
+            if barrier_min > start._min:
+                start.set_min(barrier_min, engine)
+            if start._max < latest_start:
+                latest_start = start._max
         # Backward: every first-stage task must be able to complete before
-        # the latest moment any second-stage task could still start.
-        barrier_max = min(iv.start._max for iv in self.second) - self.delay
-        for iv in self.first:
-            iv.start.set_max(barrier_max - iv.length, engine)
+        # that moment.
+        barrier_max = latest_start - self.delay
+        for iv in first:
+            start = iv.start
+            bound = barrier_max - iv.length
+            if bound < start._max:
+                start.set_max(bound, engine)
 
 
 class EndBeforeStartPropagator(Propagator):

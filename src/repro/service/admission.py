@@ -109,6 +109,8 @@ class AdmissionController:
         self._solver = CpSolver(self.config.solver_params)
         self._ladder = DegradationLadder(self.config.ladder, self._solver)
         self._jobs: Dict[str, _CommittedJob] = {}
+        #: Admitted jobs not cancelled: what ``service.committed_jobs`` shows.
+        self._live = 0
         self._rejected: Dict[str, SlaQuote] = {}
         self._next_numeric_id = 1
         self._m_requests = self.registry.counter("service.requests")
@@ -189,7 +191,8 @@ class AdmissionController:
                 t0,
             )
             self._jobs[spec.job_id] = _CommittedJob(spec, quote, mine)
-            self._m_committed.set(float(len(self._jobs)))
+            self._live += 1
+            self._m_committed.set(float(self._live))
             return quote
         return self._finish(
             spec,
@@ -303,9 +306,8 @@ class AdmissionController:
             return False  # already completed: nothing left to cancel
         job.cancelled = True
         job.assignments = []
-        self._m_committed.set(
-            float(sum(1 for j in self._jobs.values() if not j.cancelled))
-        )
+        self._live -= 1
+        self._m_committed.set(float(self._live))
         return True
 
     def status(self, job_id: str, now: float) -> Optional[JobStatus]:
@@ -333,4 +335,4 @@ class AdmissionController:
 
     @property
     def committed_count(self) -> int:
-        return sum(1 for j in self._jobs.values() if not j.cancelled)
+        return self._live

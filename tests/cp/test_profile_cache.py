@@ -55,7 +55,7 @@ _OPS = st.one_of(
         st.integers(1, 4),
     ),
     st.tuples(
-        st.just("latest"),
+        st.just("bounds"),
         st.integers(0, 40),
         st.integers(0, 8),
         st.integers(1, 4),
@@ -68,9 +68,9 @@ _OPS = st.one_of(
 def test_add_fit_interleavings_never_serve_stale_segments(ops):
     """Interleave add() with fit queries; every answer must match a rebuild.
 
-    The fit queries call ``segments()`` internally and thus populate the
-    cache; the next ``add`` must invalidate it.  A missing invalidation
-    shows up as a fit answer computed against the pre-mutation profile.
+    The fit queries populate the prefix heights and the blocked-run index;
+    the next ``add`` must patch or drop them.  A missing invalidation shows
+    up as a fit answer computed against the pre-mutation profile.
     """
     capacity = 4
     cached = TimetableProfile()
@@ -90,7 +90,7 @@ def test_add_fit_interleavings_never_serve_stale_segments(ops):
             got = cached.earliest_fit(est, lst, length, demand, capacity)
             want = fresh.earliest_fit(est, lst, length, demand, capacity)
         else:
-            got = cached.latest_fit(est, lst, length, demand, capacity)
-            want = fresh.latest_fit(est, lst, length, demand, capacity)
+            got = cached.fit_bounds(est, lst, length, demand, capacity)
+            want = fresh.fit_bounds(est, lst, length, demand, capacity)
         assert got == want
         assert cached.segments() == fresh.segments()

@@ -161,3 +161,12 @@ class TestMetrics:
         assert counters["service.committed_jobs"] == 1.0
         hist = counters["service.admission_latency_ms"]
         assert hist["count"] == 3
+
+    def test_committed_gauge_excludes_cancelled_jobs(self):
+        registry = MetricsRegistry()
+        c = controller(num_resources=2, registry=registry)
+        assert c.quote(spec("a", maps=(50,), deadline=200), 0.0).admitted
+        assert c.cancel("a", 1.0)
+        assert c.quote(spec("b", maps=(50,), deadline=200), 2.0).admitted
+        assert registry.as_dict()["service.committed_jobs"] == 1.0
+        assert c.committed_count == 1
