@@ -52,7 +52,8 @@ class InvocationOutcome:
     rung: str = "cp_full"
     #: The last CP solve result, when a CP strategy actually ran.
     result: Optional[SolveResult] = None
-    #: Whether the plain path degraded to the EDF list schedule.
+    #: Whether the plan came from the EDF list schedule (the plain path's
+    #: fallback or the ladder's ``edf`` rung).
     fallback: bool = False
     #: Ladder rungs attempted, in order, with success flags (empty on the
     #: plain path).
@@ -83,7 +84,6 @@ def solve_formulation(
     solver: CpSolver,
     ladder=None,
     hint: Optional[Dict] = None,
-    fallback_to_heuristic: bool = True,
     start_rung: str = "cp_full",
 ) -> InvocationOutcome:
     """Solve a built formulation through the configured strategy stack.
@@ -91,8 +91,8 @@ def solve_formulation(
     With ``ladder`` set the solve walks the degradation rungs (the ladder
     owns ``solver`` as its cp_full rung) beginning at ``start_rung`` --
     the admission service starts at ``cp_limited`` when overloaded;
-    otherwise it is one budgeted CP solve with an optional EDF
-    list-schedule fallback (``start_rung`` is ignored without a ladder).
+    otherwise it is one budgeted CP solve with the EDF list schedule as
+    its fallback (``start_rung`` is ignored without a ladder).
     """
     if ladder is not None:
         outcome = ladder.solve(formulation.model, hint=hint, start_rung=start_rung)
@@ -106,17 +106,14 @@ def solve_formulation(
     result = solver.solve(formulation.model, hint=hint)
     if result:
         return InvocationOutcome(solution=result.solution, result=result)
-    if fallback_to_heuristic:
-        # Graceful degradation: the budgeted CP solve came back empty
-        # (e.g. a forced timeout).  The EDF list schedule satisfies every
-        # hard constraint -- deadline misses just show up in N -- so the
-        # run continues instead of crashing.
-        solution = list_schedule(formulation.model, "edf")
-        if solution is not None:
-            return InvocationOutcome(
-                solution=solution, result=result, fallback=True
-            )
-    return InvocationOutcome(solution=None, result=result)
+    # Graceful degradation: the budgeted CP solve came back empty (e.g. a
+    # forced timeout).  The EDF list schedule satisfies every hard
+    # constraint -- deadline misses just show up in N -- so the run
+    # continues instead of crashing.
+    solution = list_schedule(formulation.model, "edf")
+    return InvocationOutcome(
+        solution=solution, result=result, fallback=solution is not None
+    )
 
 
 def extract_assignments(
@@ -168,7 +165,6 @@ def solve_invocation(
     solver: CpSolver,
     ladder=None,
     hint_starts: Optional[Dict[str, int]] = None,
-    fallback_to_heuristic: bool = True,
     start_rung: str = "cp_full",
 ) -> Tuple[InvocationOutcome, FormulationResult]:
     """Build + solve one invocation (the service admission entry point).
@@ -194,7 +190,6 @@ def solve_invocation(
         solver=solver,
         ladder=ladder,
         hint=hint,
-        fallback_to_heuristic=fallback_to_heuristic,
         start_rung=start_rung,
     )
     return outcome, formulation

@@ -128,19 +128,13 @@ class MrcpRmConfig:
     #: Seconds to wait after a task failure before the recovery re-plan
     #: (0 = re-plan at the failure instant).
     retry_backoff: float = 0.0
-    #: Graceful degradation: when the CP solver returns no solution (budget
-    #: exhausted or internal failure), fall back to the EDF warm-start list
-    #: schedule instead of raising ``SchedulingError``.  Recorded in the
-    #: ``fallback_solves`` metric; disable to restore the strict Table 2
-    #: line 24 "throw exception" behaviour.
-    fallback_to_heuristic: bool = True
     #: Keep a :class:`PlanRecord` per invocation in
     #: :attr:`MrcpRm.plan_history` (O(active jobs) per trigger; off by
     #: default so large sweeps pay nothing).  Forensics and the run report
     #: consume the history.
     record_plan_history: bool = False
-    #: Circuit-breaker degradation ladder around the CP solver (None = the
-    #: plain solve + EDF fallback path above).  When set, every solve walks
+    #: Circuit-breaker degradation ladder around the CP solver (None = one
+    #: plain solve with the EDF fallback).  When set, every solve walks
     #: cp_full -> cp_limited -> edf -> greedy under per-rung breakers; see
     #: :mod:`repro.resilience.breaker`.
     resilience: Optional[LadderConfig] = None
@@ -470,7 +464,6 @@ class MrcpRm:
             solver=self._solver,
             ladder=self.ladder,
             hint_starts=hint_starts,
-            fallback_to_heuristic=self.config.fallback_to_heuristic,
         )
         self._fold_solve_metrics(outcome, opened_before, now, jobs)
         if outcome.solution is None:
@@ -490,62 +483,39 @@ class MrcpRm:
     ) -> None:
         """Fold one invocation's solve outcome into the metric contract.
 
-        Preserves the historical semantics of both paths: CP stats/profile
-        are recorded whenever a CP strategy actually ran, a ladder solve
-        that lands on the ``edf`` rung still counts as one
-        ``fallback_solves`` (the same degradation PR 1 introduced, now
-        breaker-managed), and the plain path's fallback logs its warning.
+        The last CP solve's profile is recorded whenever one ran, and its
+        search effort when it found a solution.  A plan from the EDF list
+        schedule -- the plain path's fallback or the ladder's ``edf`` rung
+        -- counts one ``fallback_solves``.  Ladder mode adds the breaker
+        opens and the per-rung plan count.
         """
         metrics = self.metrics
-        if self.ladder is not None:
-            if metrics is not None:
-                if outcome.result is not None:
-                    metrics.record_solve_profile(outcome.result.profile)
-                    if outcome.result:
-                        self._record_solver_stats(outcome.result)
+        result = outcome.result
+        if metrics is not None:
+            if result is not None:
+                metrics.record_solve_profile(result.profile)
+                if result:
+                    metrics.record_solver_stats(result.stats)
+            if self.ladder is not None:
                 for _ in range(self.ladder.opened_total - opened_before):
                     metrics.breaker_opened()
-            if outcome.solution is None:
-                return
-            self._last_rung = outcome.rung
-            if metrics is not None:
-                metrics.ladder_solve(outcome.rung)
-            if outcome.rung == "edf":
-                # Same semantics as the non-ladder EDF degradation.
-                self._m_fallbacks.inc()
-                if metrics is not None:
-                    metrics.fallback_solve()
+                if outcome.solution is not None:
+                    metrics.ladder_solve(outcome.rung)
+        if outcome.solution is None:
             return
-        if metrics is not None and outcome.result is not None:
-            metrics.record_solve_profile(outcome.result.profile)
-        if outcome.result and not outcome.fallback:
-            self._record_solver_stats(outcome.result)
-        if outcome.fallback and outcome.solution is not None:
+        self._last_rung = outcome.rung
+        if outcome.fallback:
             self._m_fallbacks.inc()
-            status = (
-                outcome.result.status.value if outcome.result else "none"
-            )
             _LOG.warning(
                 "fallback solve %s",
-                kv(t=now, status=status, jobs=len(jobs)),
+                kv(
+                    t=now,
+                    status="none" if result is None else result.status.value,
+                    jobs=len(jobs),
+                ),
             )
             if metrics is not None:
                 metrics.fallback_solve()
-
-    def _record_solver_stats(self, result) -> None:
-        """Fold one successful CP solve's search effort into the metrics."""
-        if self.metrics is None:
-            return
-        self.metrics.record_solver_stats(
-            result.stats.branches,
-            result.stats.fails,
-            result.stats.lns_iterations,
-            propagations=result.stats.propagations,
-            propagate_time=result.stats.propagate_time,
-            warm_start_time=result.stats.warm_start_time,
-            tree_time=result.stats.tree_time,
-            lns_time=result.stats.lns_time,
-        )
 
     def _planned_starts_by_job(self) -> Dict[int, int]:
         """Earliest (planned or actual) start per job in the current plan."""

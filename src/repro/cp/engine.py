@@ -211,8 +211,6 @@ class Engine:
         """
         qh, ql = self._queue_high, self._queue_low
         trail = self.trail
-        t0 = profile.clock()
-        profile.propagate_calls += 1
         try:
             while True:
                 if qh:
@@ -238,4 +236,3 @@ class Engine:
             raise
         finally:
             self.active = None
-            profile.propagate_time += profile.clock() - t0

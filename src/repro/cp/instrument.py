@@ -8,18 +8,18 @@ EngineProfile()``), the fixpoint loop records, per propagator *class*:
   exact proxy for bound tightenings), and
 * ``fails``  -- executions that ended in a wipe-out (``Infeasible``),
 
-plus the accumulated wall time and call count of ``Engine.propagate``
-itself, and per-event wake counters (how many MIN/MAX/FIX wake-ups the
-engine dispatched -- the denominator for event-based incrementality).
+plus per-event wake counters (how many MIN/MAX/FIX wake-ups the engine
+dispatched -- the denominator for event-based incrementality).  Wall time
+is not measured here: the solver's phase times
+(:class:`~repro.cp.solution.SearchStats`) are the one timing record.
 Detached (``engine.profile is None``, the default) the engine runs its
 original unconditional loop -- profiling costs nothing when off.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Dict
 
 from repro.cp.domain import FIX_EVENT, MAX_EVENT, MIN_EVENT
 
@@ -38,23 +38,15 @@ class EngineProfile:
 
     __slots__ = (
         "by_class",
-        "propagate_calls",
-        "propagate_time",
-        "clock",
         "wake_min",
         "wake_max",
         "wake_fix",
         "wake_other",
     )
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
+    def __init__(self) -> None:
         #: propagator class name -> counters
         self.by_class: Dict[str, PropagatorCounters] = {}
-        #: number of ``Engine.propagate`` fixpoint runs
-        self.propagate_calls = 0
-        #: wall seconds spent inside ``Engine.propagate`` (via ``clock``)
-        self.propagate_time = 0.0
-        self.clock = clock
         #: wake dispatches per event kind (one dispatch may enqueue many
         #: propagators; this counts domain-change events, not enqueues)
         self.wake_min = 0
@@ -104,8 +96,6 @@ class EngineProfile:
             mine.runs += c.runs
             mine.prunes += c.prunes
             mine.fails += c.fails
-        self.propagate_calls += other.propagate_calls
-        self.propagate_time += other.propagate_time
         self.wake_min += other.wake_min
         self.wake_max += other.wake_max
         self.wake_fix += other.wake_fix

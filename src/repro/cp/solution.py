@@ -120,10 +120,6 @@ class SolveProfile:
     #: whether tree search / LNS strictly improved the incumbent
     improved_by_tree: bool = False
     improved_by_lns: bool = False
-    #: wall seconds inside ``Engine.propagate`` across all phases
-    engine_propagate_time: float = 0.0
-    #: number of ``Engine.propagate`` fixpoint runs
-    engine_propagate_calls: int = 0
     #: per-propagator-class effort: name -> {"runs", "prunes", "fails"}
     propagators: Dict[str, Dict[str, int]] = field(default_factory=dict)
 

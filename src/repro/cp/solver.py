@@ -15,11 +15,13 @@ variables, and treat "no solution" as an exceptional condition.  The phases:
 4. **LNS.**  Remaining time is spent relaxing late jobs plus their temporal
    neighbours and re-solving.
 
-Observability: each phase is timed into :class:`SearchStats`
-(``propagate_time`` / ``warm_start_time`` / ``tree_time`` / ``lns_time``)
-and, when a :class:`~repro.obs.trace.Tracer` is attached, emitted as a span
-(``cp.propagate`` / ``cp.warm_start`` / ``cp.search`` / ``cp.lns``; phases
-the solve never entered appear as zero-duration spans marked ``skipped``).
+Observability: each phase runs inside one :func:`_phase` block, which
+opens its tracer span (``cp.propagate`` / ``cp.warm_start`` / ``cp.search``
+/ ``cp.lns``) and stamps its wall time into the matching
+:class:`SearchStats` field (``propagate_time`` / ``warm_start_time`` /
+``tree_time`` / ``lns_time``) -- the single timing record of a solve.  A
+phase the solve never entered keeps ``0.0`` and, when tracing, appears as a
+zero-duration span marked ``skipped``.
 With profiling on (``SolverParams.profile`` or an enabled tracer) the
 returned :class:`~repro.cp.solution.SolveResult` carries a
 :class:`~repro.cp.solution.SolveProfile` with per-propagator-class effort
@@ -29,8 +31,9 @@ counters and warm-start vs. improvement attribution.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.cp.checker import check_solution
 from repro.cp.errors import Infeasible
@@ -38,12 +41,7 @@ from repro.cp.heuristics import ORDERINGS, best_warm_start, list_schedule
 from repro.cp.instrument import EngineProfile
 from repro.cp.lns import LnsParams, lns_improve
 from repro.cp.model import CpModel
-from repro.cp.search import (
-    SearchLimits,
-    SetTimesBrancher,
-    restarted_tree_search,
-    tree_search,
-)
+from repro.cp.search import SearchLimits, SetTimesBrancher, tree_search
 from repro.cp.solution import (
     SearchStats,
     SolveProfile,
@@ -52,8 +50,27 @@ from repro.cp.solution import (
 )
 from repro.obs.trace import NULL_TRACER, Tracer
 
-#: Phase span names emitted per solve (skipped phases become zero spans).
-PHASE_SPANS = ("cp.propagate", "cp.warm_start", "cp.search", "cp.lns")
+#: Solve phases in run order: tracer span name -> the :class:`SearchStats`
+#: field holding the phase's wall time.  Every solve emits all four spans;
+#: a phase that did not run keeps 0.0 and becomes a zero ``skipped`` span.
+PHASES = {
+    "cp.propagate": "propagate_time",
+    "cp.warm_start": "warm_start_time",
+    "cp.search": "tree_time",
+    "cp.lns": "lns_time",
+}
+
+#: Fraction of the remaining budget given to the tree-search phase.
+TREE_TIME_SHARE = 0.4
+
+
+@contextmanager
+def _phase(tracer: Tracer, stats: SearchStats, name: str) -> Iterator[None]:
+    """Run one solve phase inside its span and stamp its wall time."""
+    t0 = time.perf_counter()
+    with tracer.span(name, "cp.phase"):
+        yield
+    setattr(stats, PHASES[name], time.perf_counter() - t0)
 
 
 @dataclass
@@ -64,11 +81,6 @@ class SolverParams:
     time_limit: float = 5.0
     #: Fail limit for the dedicated tree-search phase (None = unlimited).
     tree_fail_limit: Optional[int] = 2000
-    #: Fraction of the remaining budget given to the tree-search phase.
-    tree_time_share: float = 0.4
-    #: When set, the tree phase runs Luby-restarted episodes with this base
-    #: fail limit instead of one fail-limited dive (CP Optimizer style).
-    restart_base_fail_limit: Optional[int] = None
     #: Warm-start orderings to try, in order.
     warm_start_orders: Sequence[str] = ORDERINGS
     #: Right-branch policy: True = jump to the next interesting time
@@ -79,8 +91,6 @@ class SolverParams:
     lns: LnsParams = field(default_factory=LnsParams)
     #: Validate every candidate solution against the declarative checker.
     validate: bool = True
-    #: Print a one-line trace per solve phase (warm start, tree, LNS).
-    log: bool = False
     #: Collect per-propagator-class counters and a :class:`SolveProfile`
     #: even without a tracer attached (a tracer implies profiling).
     profile: bool = False
@@ -113,21 +123,6 @@ class CpSolver:
         stats = SearchStats()
         profiling = params.profile or tracer.enabled
         profile = SolveProfile() if profiling else None
-        phases_traced = set()
-
-        def trace(phase: str, detail: str) -> None:
-            if params.log:
-                elapsed = time.perf_counter() - t_start
-                print(f"[cp {elapsed:7.3f}s] {phase:<10} {detail}")
-
-        sizes = model.stats()
-        trace(
-            "model",
-            f"{sizes['intervals']} intervals, "
-            f"{sizes['optional_intervals']} options, "
-            f"{sizes['cumulatives']} cumulatives, "
-            f"{sizes['indicators']} indicators",
-        )
 
         engine = model.engine()
         engine.profile = EngineProfile() if profiling else None
@@ -146,31 +141,25 @@ class CpSolver:
                     {"time_limit": params.time_limit},
                 )
             if profile is not None:
-                ep = engine.profile
-                if ep is not None:
-                    profile.engine_propagate_time = ep.propagate_time
-                    profile.engine_propagate_calls = ep.propagate_calls
-                    profile.propagators = ep.as_dict()
+                if engine.profile is not None:
+                    profile.propagators = engine.profile.as_dict()
                 profile.final_objective = (
                     None if result.solution is None else result.solution.objective
                 )
                 result.profile = profile
             if tracer.enabled:
-                for name in PHASE_SPANS:
-                    if name not in phases_traced:
+                for name, time_field in PHASES.items():
+                    if getattr(stats, time_field) == 0.0:
                         tracer.marker(name, "cp.phase", {"skipped": True})
             return result
 
         # ------------------------------------------------ 1. root propagation
-        phases_traced.add("cp.propagate")
-        t_phase = time.perf_counter()
         root_failed = False
-        with tracer.span("cp.propagate", "cp.phase"):
+        with _phase(tracer, stats, "cp.propagate"):
             try:
                 engine.propagate()
             except Infeasible:
                 root_failed = True
-        stats.propagate_time = time.perf_counter() - t_phase
         if root_failed:
             return finish(SolveResult(SolveStatus.INFEASIBLE, None, stats))
 
@@ -178,7 +167,6 @@ class CpSolver:
             # Budget exhausted before the search could even warm-start
             # (e.g. a forced time_limit=0): report UNKNOWN and let the
             # caller degrade gracefully instead of pretending to search.
-            trace("budget", "exhausted before warm start")
             return finish(SolveResult(SolveStatus.UNKNOWN, None, stats))
 
         has_objective = model.objective_bools is not None
@@ -192,11 +180,9 @@ class CpSolver:
             root_lb = sum(b.domain.min for b in model.objective_bools)
 
         # ---------------------------------------------------- 2. warm start
-        phases_traced.add("cp.warm_start")
-        t_phase = time.perf_counter()
         best = None
         solved_by = "none"
-        with tracer.span("cp.warm_start", "cp.phase"):
+        with _phase(tracer, stats, "cp.warm_start"):
             if hint:
                 hinted = list_schedule(
                     model, params.warm_start_orders[0], preplaced=hint
@@ -204,7 +190,6 @@ class CpSolver:
                 if hinted is not None and not check_solution(model, hinted):
                     best = hinted
                     solved_by = "hint"
-                    trace("hint", f"objective={hinted.objective}")
             if best is None or (
                 has_objective and best.objective not in (None, 0)
             ):
@@ -219,12 +204,6 @@ class CpSolver:
                 ):
                     best = from_orders
                     solved_by = "warm_start"
-        stats.warm_start_time = time.perf_counter() - t_phase
-        trace(
-            "warm",
-            f"objective={None if best is None else best.objective} "
-            f"(root lb {root_lb})",
-        )
         if best is not None and params.validate:
             violations = check_solution(model, best)
             if violations:  # defensive: heuristic bug -> discard, keep going
@@ -251,41 +230,21 @@ class CpSolver:
         exhausted_empty = False
         remaining = deadline - time.perf_counter()
         if remaining > 0:
-            phases_traced.add("cp.search")
-            t_phase = time.perf_counter()
             incumbent_before = best
-            with tracer.span("cp.search", "cp.phase"):
-                tree_budget = remaining * params.tree_time_share
-                if params.restart_base_fail_limit is not None and has_objective:
-                    result = restarted_tree_search(
-                        model,
-                        engine,
-                        brancher,
-                        time_budget=tree_budget,
-                        base_fail_limit=params.restart_base_fail_limit,
-                        incumbent=best,
-                    )
-                else:
-                    limits = SearchLimits.from_budget(
-                        time_budget=tree_budget,
-                        fail_limit=params.tree_fail_limit,
-                    )
-                    result = tree_search(
-                        model,
-                        engine,
-                        brancher,
-                        limits,
-                        incumbent=best,
-                        first_solution_only=not has_objective,
-                    )
+            with _phase(tracer, stats, "cp.search"):
+                limits = SearchLimits.from_budget(
+                    time_budget=remaining * TREE_TIME_SHARE,
+                    fail_limit=params.tree_fail_limit,
+                )
+                result = tree_search(
+                    model,
+                    engine,
+                    brancher,
+                    limits,
+                    incumbent=best,
+                    first_solution_only=not has_objective,
+                )
             stats.merge(result.stats)
-            stats.tree_time = time.perf_counter() - t_phase
-            trace(
-                "tree",
-                f"objective={None if result.best is None else result.best.objective} "
-                f"branches={result.stats.branches} fails={result.stats.fails} "
-                f"exhausted={result.exhausted}",
-            )
             if result.best is not None:
                 if result.best is not incumbent_before and profile is not None:
                     profile.improved_by_tree = True
@@ -314,10 +273,8 @@ class CpSolver:
             and best.objective not in (None, 0)
             and time.perf_counter() < deadline
         ):
-            phases_traced.add("cp.lns")
-            t_phase = time.perf_counter()
             incumbent_before = best
-            with tracer.span("cp.lns", "cp.phase"):
+            with _phase(tracer, stats, "cp.lns"):
                 lns_params = replace(params.lns, seed=params.seed)
                 best, lns_stats = lns_improve(
                     model,
@@ -329,16 +286,9 @@ class CpSolver:
                     target=root_lb,
                 )
             stats.merge(lns_stats)
-            stats.lns_iterations = lns_stats.lns_iterations
-            stats.lns_time = time.perf_counter() - t_phase
             if best is not incumbent_before and profile is not None:
                 profile.improved_by_lns = True
                 profile.solved_by = "lns"
-            trace(
-                "lns",
-                f"objective={best.objective} "
-                f"iterations={lns_stats.lns_iterations}",
-            )
 
         if best is None:
             # No heuristic solution and the budgeted search found nothing.

@@ -12,7 +12,21 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.cp.solution import SearchStats
 from repro.workload.entities import Job
+
+#: Verbose :class:`RunMetrics` keys that are raw ``perf_counter`` readings
+#: (the solver phase times).  Unlike O, which is measured through the
+#: injectable wall clock, they never replay identically, so determinism
+#: checks compare everything except these.
+WALL_TIME_METRIC_KEYS = frozenset(
+    {
+        "solver_propagate_time",
+        "solver_warm_start_time",
+        "solver_tree_time",
+        "solver_lns_time",
+    }
+)
 
 
 @dataclass
@@ -189,14 +203,8 @@ class MetricsCollector:
         # agrees exactly with finalize()'s recomputation.
         self._late_count = 0
         self._turnaround_sum = 0
-        self.solver_branches = 0
-        self.solver_fails = 0
-        self.solver_lns_iterations = 0
-        self.solver_propagations = 0
-        self.solver_propagate_time = 0.0
-        self.solver_warm_start_time = 0.0
-        self.solver_tree_time = 0.0
-        self.solver_lns_time = 0.0
+        #: CP search effort and phase wall times summed over every solve
+        self.solver_stats = SearchStats()
         self._solver_propagators: Dict[str, Dict[str, int]] = {}
         self._solves_by_phase: Dict[str, int] = {}
         self._solves_by_rung: Dict[str, int] = {}
@@ -242,31 +250,9 @@ class MetricsCollector:
         self._overhead_times.append(sim_time)
         self._invocations += 1
 
-    def record_solver_stats(
-        self,
-        branches: int,
-        fails: int,
-        lns: int,
-        propagations: int = 0,
-        propagate_time: float = 0.0,
-        warm_start_time: float = 0.0,
-        tree_time: float = 0.0,
-        lns_time: float = 0.0,
-    ) -> None:
-        """Accumulate CP search effort counters across invocations.
-
-        The three positional counters match the original signature; the
-        keyword phase timings are reported when the resource manager passes
-        extended :class:`~repro.cp.solution.SearchStats` through.
-        """
-        self.solver_branches += branches
-        self.solver_fails += fails
-        self.solver_lns_iterations += lns
-        self.solver_propagations += propagations
-        self.solver_propagate_time += propagate_time
-        self.solver_warm_start_time += warm_start_time
-        self.solver_tree_time += tree_time
-        self.solver_lns_time += lns_time
+    def record_solver_stats(self, stats: SearchStats) -> None:
+        """Merge one CP solve's search effort and phase times into the run's."""
+        self.solver_stats.merge(stats)
 
     def record_solve_profile(self, profile) -> None:
         """Fold one solve's :class:`~repro.cp.solution.SolveProfile` in.
@@ -407,12 +393,13 @@ class MetricsCollector:
             "overhead_sim_times": list(self._overhead_times),
         }
         if deterministic:
+            solver = self.solver_stats
             snap["overhead_series"] = list(self._overhead_series)
             snap["solver_effort"] = {
-                "branches": self.solver_branches,
-                "fails": self.solver_fails,
-                "lns_iterations": self.solver_lns_iterations,
-                "propagations": self.solver_propagations,
+                "branches": solver.branches,
+                "fails": solver.fails,
+                "lns_iterations": solver.lns_iterations,
+                "propagations": solver.propagations,
             }
         return snap
 
@@ -432,6 +419,7 @@ class MetricsCollector:
         avg_turnaround = (
             sum(turnarounds.values()) / n_completed if n_completed else 0.0
         )
+        solver = self.solver_stats
         return RunMetrics(
             jobs_arrived=n_arrived,
             jobs_completed=n_completed,
@@ -447,14 +435,14 @@ class MetricsCollector:
             late_job_ids=sorted(late_ids),
             turnarounds=turnarounds,
             tardiness_by_job=dict(sorted(tardiness.items())),
-            solver_branches=self.solver_branches,
-            solver_fails=self.solver_fails,
-            solver_lns_iterations=self.solver_lns_iterations,
-            solver_propagations=self.solver_propagations,
-            solver_propagate_time=self.solver_propagate_time,
-            solver_warm_start_time=self.solver_warm_start_time,
-            solver_tree_time=self.solver_tree_time,
-            solver_lns_time=self.solver_lns_time,
+            solver_branches=solver.branches,
+            solver_fails=solver.fails,
+            solver_lns_iterations=solver.lns_iterations,
+            solver_propagations=solver.propagations,
+            solver_propagate_time=solver.propagate_time,
+            solver_warm_start_time=solver.warm_start_time,
+            solver_tree_time=solver.tree_time,
+            solver_lns_time=solver.lns_time,
             solver_propagators={
                 name: dict(counts)
                 for name, counts in sorted(self._solver_propagators.items())

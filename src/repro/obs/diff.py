@@ -59,6 +59,7 @@ from typing import (
 )
 
 from repro.ioutil import atomic_write_text
+from repro.metrics.collector import WALL_TIME_METRIC_KEYS
 from repro.obs.conformance import validate_trace_events
 from repro.obs.forensics import attribute_lateness, load_trace_events
 from repro.obs.structdiff import DiffEntry, structural_diff
@@ -89,24 +90,17 @@ _PLAN_COMPARED = ("t", "outcome", "trigger", "rung", "planned_starts")
 _QUARANTINED_EVENT_ARGS = frozenset({"overhead", "wall"})
 
 #: Verbose metric keys excluded from canonical comparison.  The four time
-#: keys are raw ``perf_counter`` readings (the solver phase profile): unlike
-#: O -- measured through the *pinned* wall clock -- they never replay
-#: identically.  ``solver_propagations`` counts fixpoint *effort* (how many
+#: keys (:data:`~repro.metrics.collector.WALL_TIME_METRIC_KEYS`) are raw
+#: ``perf_counter`` readings: unlike O -- measured through the *pinned*
+#: wall clock -- they never replay identically.
+#: ``solver_propagations`` counts fixpoint *effort* (how many
 #: propagator executions reached the fixpoint), which any change to wake
 #: scheduling or propagator incrementality legitimately alters without
 #: moving a single plan; the diff contract compares plan semantics
 #: (O/N/T/P, plans, forensics, the event spine), so effort counters are
 #: quarantined alongside the clocks.  ``solver_fails``/``solver_branches``
 #: stay compared -- they pin the search *tree*, not the effort.
-QUARANTINED_METRIC_KEYS = frozenset(
-    {
-        "solver_propagate_time",
-        "solver_warm_start_time",
-        "solver_tree_time",
-        "solver_lns_time",
-        "solver_propagations",
-    }
-)
+QUARANTINED_METRIC_KEYS = WALL_TIME_METRIC_KEYS | {"solver_propagations"}
 
 #: Stored overlay points per series field are capped so diff.json stays a
 #: reviewable CI artifact even for long runs.

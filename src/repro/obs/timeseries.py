@@ -224,11 +224,12 @@ class TimeSeriesSampler:
             record["jobs_completed"] = collector.jobs_completed
             record["jobs_failed"] = collector.jobs_failed
             record["invocations"] = collector.invocations
+            solver = collector.solver_stats
             record["phase_times"] = {
-                "propagate": collector.solver_propagate_time,
-                "warm_start": collector.solver_warm_start_time,
-                "tree": collector.solver_tree_time,
-                "lns": collector.solver_lns_time,
+                "propagate": solver.propagate_time,
+                "warm_start": solver.warm_start_time,
+                "tree": solver.tree_time,
+                "lns": solver.lns_time,
             }
         registry = self._registry
         if registry is not None:

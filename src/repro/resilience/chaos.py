@@ -41,7 +41,7 @@ from repro.experiments.runner import (
     build_live_run,
 )
 from repro.faults import FaultModel, OutageWindow
-from repro.metrics.collector import RunMetrics
+from repro.metrics.collector import WALL_TIME_METRIC_KEYS, RunMetrics
 from repro.obs.logs import get_logger, kv
 from repro.resilience.breaker import InjectedSolverFailures, LadderConfig
 from repro.resilience.checkpoint import (
@@ -132,23 +132,10 @@ def _ontp(metrics: RunMetrics) -> Dict[str, float]:
     return {k: d[k] for k in ONTP}
 
 
-#: Verbose metrics measured with ``time.perf_counter`` inside the solver.
-#: Real wall time can never be byte-identical across runs, so the chaos
-#: determinism contract covers everything *except* these.
-_WALL_TIME_KEYS = frozenset(
-    {
-        "solver_propagate_time",
-        "solver_warm_start_time",
-        "solver_tree_time",
-        "solver_lns_time",
-    }
-)
-
-
 def _comparable(metrics: RunMetrics) -> Dict[str, float]:
     """The verbose metric dict minus inherently wall-clock keys."""
     d = metrics.as_dict(verbose=True)
-    return {k: v for k, v in d.items() if k not in _WALL_TIME_KEYS}
+    return {k: v for k, v in d.items() if k not in WALL_TIME_METRIC_KEYS}
 
 
 # --------------------------------------------------------------------------

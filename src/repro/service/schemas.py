@@ -108,7 +108,12 @@ class JobSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "JobSpec":
+    def from_dict(cls, data: object) -> "JobSpec":
+        """Parse a decoded JSON submission; :class:`ValidationError` if malformed."""
+        if not isinstance(data, dict):
+            raise ValidationError(
+                f"job spec must be a JSON object, got {type(data).__name__}"
+            )
         schema = data.get("schema", SERVICE_SCHEMA)
         if schema != SERVICE_SCHEMA:
             raise ValidationError(f"unsupported schema {schema!r}")
@@ -122,7 +127,8 @@ class JobSpec:
                 earliest_start=int(data.get("earliest_start", 0)),
                 deadline=int(data.get("deadline", 0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: int() of an infinite number such as 1e400
             raise ValidationError(f"malformed job spec: {exc}") from exc
         spec.validate()
         return spec

@@ -13,8 +13,7 @@
   shutdown drains the queue so no submitter is left hanging;
 * a **stdlib HTTP/1.1 endpoint** (``serve``) exposing the API as JSON
   over ``asyncio.start_server`` -- no third-party web framework, so the
-  core install stays dependency-free (a FastAPI adapter lives behind the
-  ``[service]`` extra in :mod:`repro.service.fastapi_adapter`).
+  service needs nothing beyond the standard library.
 
 Routes: ``POST /submit``, ``GET /status/<job>``, ``POST /cancel/<job>``,
 ``GET /metrics`` (OpenMetrics, reusing the PR 6 exporter), ``GET
@@ -382,7 +381,7 @@ class SchedulerService:
         if method == "POST" and path == "/submit":
             try:
                 payload = json.loads(body.decode() or "{}")
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON or a non-UTF-8 body
                 return 400, {"error": f"bad JSON: {exc}"}
             quote = await self.submit(payload)
             return 200, quote.as_dict()

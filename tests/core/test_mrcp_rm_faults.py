@@ -132,19 +132,6 @@ def test_forced_solver_timeout_degrades_to_edf_fallback():
     assert "fallback_solves" in metrics.as_dict()
 
 
-def test_strict_mode_still_raises_on_timeout():
-    from repro.core.schedule import SchedulingError
-
-    with pytest.raises(SchedulingError):
-        _run(
-            [make_job(0, (5,), deadline=500)],
-            config=MrcpRmConfig(
-                solver=SolverParams(time_limit=0.0),
-                fallback_to_heuristic=False,
-            ),
-        )
-
-
 def test_fractional_time_trigger_rounds_up_not_down():
     """Regression: a scheduling event at a fractional simulation time must
     plan from ceil(now), not int(now) -- truncation planned starts in the

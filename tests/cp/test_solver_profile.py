@@ -1,7 +1,7 @@
 """Solver-phase profiling: SolveProfile contents and phase span emission."""
 
 from repro.cp import CpModel, CpSolver
-from repro.cp.solver import PHASE_SPANS, SolverParams
+from repro.cp.solver import PHASES, SolverParams
 from repro.obs.trace import TraceRecorder, Tracer
 
 from tests.conftest import two_job_single_machine_model
@@ -21,8 +21,6 @@ def test_profile_populated_when_requested():
     assert p is not None
     assert p.solved_by in ("hint", "warm_start", "tree", "lns")
     assert p.final_objective == result.objective
-    assert p.engine_propagate_calls > 0
-    assert p.engine_propagate_time >= 0.0
     assert p.propagators, "per-propagator counters should not be empty"
     for counts in p.propagators.values():
         assert set(counts) == {"runs", "prunes", "fails"}
@@ -60,7 +58,7 @@ def test_tracer_enables_profiling_and_emits_every_phase_span():
     result = CpSolver(tracer=tracer).solve(m, time_limit=1.0)
     assert result.profile is not None  # tracing implies profiling
     names = {e["name"] for e in tracer.recorder.events}
-    for phase in PHASE_SPANS:
+    for phase in PHASES:
         assert phase in names, f"missing phase span {phase}"
 
 
@@ -77,7 +75,7 @@ def test_skipped_phases_marked_not_omitted():
     result = CpSolver(tracer=tracer).solve(m, time_limit=2.0)
     assert result.stats.branches == 0
     by_name = {e["name"]: e for e in tracer.recorder.events}
-    for phase in PHASE_SPANS:
+    for phase in PHASES:
         assert phase in by_name
     assert by_name["cp.search"]["args"].get("skipped") is True
     assert by_name["cp.search"]["dur"] == 0.0

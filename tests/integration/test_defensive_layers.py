@@ -116,14 +116,22 @@ class _DeadSolver:
         return SolveResult(SolveStatus.UNKNOWN, None, SearchStats())
 
 
-def test_solver_failure_surfaces_as_scheduling_error():
-    """With graceful degradation disabled, a no-solution solve raises
-    (Table 2 line 24) instead of dropping the job on the floor."""
-    sim, metrics, rm = _rm(fallback_to_heuristic=False)
+def test_solver_failure_surfaces_as_scheduling_error(monkeypatch):
+    """When the CP solve and the EDF list schedule both come back empty,
+    the invocation raises (Table 2 line 24) instead of dropping the job on
+    the floor."""
+    import repro.core.invocation as invocation
+
+    monkeypatch.setattr(invocation, "list_schedule", lambda model, order: None)
+    sim, metrics, rm = _rm()
     rm._solver = _DeadSolver()
     sim.schedule_at(0, lambda: rm.submit(make_job(0, (5,), deadline=50)))
-    with pytest.raises(SchedulingError, match="unknown"):
+    with pytest.raises(
+        SchedulingError,
+        match="returned unknown .* no heuristic fallback schedule exists",
+    ):
         sim.run()
+    assert metrics.finalize().fallback_solves == 0
 
 
 def test_solver_failure_degrades_to_heuristic_by_default():

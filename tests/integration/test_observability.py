@@ -4,6 +4,7 @@ import json
 
 from repro import quick_demo
 from repro.experiments.runner import RunConfig, SystemConfig, run_once
+from repro.metrics.collector import WALL_TIME_METRIC_KEYS
 from repro.obs import ObsConfig
 from repro.obs.trace import TraceRecorder, Tracer
 from repro.workload import SyntheticWorkloadParams
@@ -24,25 +25,14 @@ def _demo_pair(seed=SEED):
     return untraced, traced, tracer
 
 
-#: Verbose keys that are genuine wall-clock measurements -- everything else
-#: in the verbose dict must be bit-identical between traced and untraced runs.
-_WALL_TIME_KEYS = frozenset(
-    {
-        "solver_propagate_time",
-        "solver_warm_start_time",
-        "solver_tree_time",
-        "solver_lns_time",
-    }
-)
-
-
 def test_tracing_does_not_change_any_metric():
     untraced, traced, _ = _demo_pair()
     assert untraced.as_dict() == traced.as_dict()
     v0 = untraced.as_dict(verbose=True)
     v1 = traced.as_dict(verbose=True)
     assert v0.keys() == v1.keys()
-    for key in v0.keys() - _WALL_TIME_KEYS:
+    # everything but the wall-clock phase times must be bit-identical
+    for key in v0.keys() - WALL_TIME_METRIC_KEYS:
         assert v0[key] == v1[key], key
     assert untraced.turnarounds == traced.turnarounds
     assert untraced.late_job_ids == traced.late_job_ids

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cp.solution import SearchStats
 from repro.metrics import MetricsCollector
 
 from tests.conftest import make_job
@@ -92,12 +93,21 @@ def test_as_dict_exports_paper_metrics():
 
 def test_solver_stats_accumulate():
     c = MetricsCollector()
-    c.record_solver_stats(10, 5, 2)
-    c.record_solver_stats(3, 1, 0)
+    c.record_solver_stats(
+        SearchStats(branches=10, fails=5, lns_iterations=2, propagations=7,
+                    propagate_time=0.5, tree_time=1.5)
+    )
+    c.record_solver_stats(
+        SearchStats(branches=3, fails=1, propagations=4,
+                    warm_start_time=0.25, lns_time=2.0)
+    )
     m = c.finalize()
     assert m.solver_branches == 13
     assert m.solver_fails == 6
     assert m.solver_lns_iterations == 2
+    assert m.solver_propagations == 11
+    assert (m.solver_propagate_time, m.solver_warm_start_time) == (0.5, 0.25)
+    assert (m.solver_tree_time, m.solver_lns_time) == (1.5, 2.0)
 
 
 def test_tardiness_by_job_and_stats():
@@ -145,3 +155,22 @@ def test_no_late_jobs_no_tardiness():
     assert m.tardiness_percentile(95) == 0
     verbose = m.as_dict(verbose=True)
     assert verbose.get("tardiness_mean", 0.0) == 0.0
+
+
+def test_wall_time_metric_keys_shared_by_diff_and_chaos():
+    """Run diffs quarantine the phase times plus propagation effort; the
+    chaos determinism check drops only the phase times, so it still
+    compares ``solver_propagations``."""
+    from repro.obs.diff import QUARANTINED_METRIC_KEYS
+    from repro.resilience.chaos import _comparable
+
+    phase_times = {
+        "solver_propagate_time",
+        "solver_warm_start_time",
+        "solver_tree_time",
+        "solver_lns_time",
+    }
+    assert QUARANTINED_METRIC_KEYS == phase_times | {"solver_propagations"}
+    verbose = MetricsCollector().finalize()
+    dropped = verbose.as_dict(verbose=True).keys() - _comparable(verbose).keys()
+    assert dropped == phase_times

@@ -277,6 +277,64 @@ class TestHttpEndpoint:
         assert leftovers == []
 
 
+async def _post_raw(port: int, body: bytes):
+    """POST raw bytes to /submit; (status, parsed JSON body)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    head = (
+        "POST /submit HTTP/1.1\r\n"
+        f"Host: 127.0.0.1:{port}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        "Connection: close\r\n\r\n"
+    )
+    writer.write(head.encode() + body)
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    head_part, _, body_part = raw.partition(b"\r\n\r\n")
+    return int(head_part.split()[1]), json.loads(body_part)
+
+
+@pytest.mark.parametrize(
+    "body,status",
+    [
+        (b"[]", 200),
+        (b"1", 200),
+        (b'"x"', 200),
+        (b"\xff", 400),
+        (b'{"job_id":"z","map_durations":[1e400],"deadline":9}', 200),
+    ],
+    ids=["list", "number", "string", "non_utf8", "infinite_duration"],
+)
+def test_malformed_submit_body_is_a_client_error(body, status):
+    """Malformed bodies get the bad-JSON 400 or the ``invalid`` quote,
+    never a 500, from the live server."""
+
+    async def run():
+        svc = SchedulerService(
+            resources=make_uniform_cluster(1, 1, 1),
+            config=ServiceConfig(
+                batching=BatchingConfig(max_batch_size=1, max_hold_seconds=0.01),
+                port=0,
+            ),
+        )
+        serve_task = asyncio.create_task(svc.serve())
+        while svc.bound_port is None:
+            await asyncio.sleep(0.01)
+        try:
+            return await _post_raw(svc.bound_port, body)
+        finally:
+            await _http_json("127.0.0.1", svc.bound_port, "POST", "/shutdown")
+            await asyncio.wait_for(serve_task, timeout=5.0)
+
+    got_status, payload = asyncio.run(run())
+    assert got_status == status
+    if status == 200:
+        assert payload["admitted"] is False and payload["reason"] == "invalid"
+    else:
+        assert payload["error"].startswith("bad JSON")
+
+
 class TestJsonOverHttpParity:
     def test_quote_round_trips_through_json(self):
         svc = service(max_batch_size=1)
