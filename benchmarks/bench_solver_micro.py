@@ -12,33 +12,12 @@ import pytest
 from repro.core.formulation import build_model
 from repro.cp.heuristics import list_schedule
 from repro.cp.solver import CpSolver, SolverParams
-from repro.workload import (
-    SyntheticWorkloadParams,
-    generate_synthetic_workload,
-    make_uniform_cluster,
-)
-
-
-def _batch(num_jobs, seed=5):
-    params = SyntheticWorkloadParams(
-        num_jobs=num_jobs,
-        map_tasks_range=(1, 10),
-        reduce_tasks_range=(1, 5),
-        e_max=20,
-        ar_probability=0.0,
-        deadline_multiplier_max=3.0,
-        arrival_rate=1.0,  # a dense batch
-        total_map_slots=20,
-        total_reduce_slots=20,
-    )
-    jobs = generate_synthetic_workload(params, seed=seed)
-    resources = make_uniform_cluster(10, 2, 2)
-    return jobs, resources
+from repro.experiments.configs import micro_batch
 
 
 @pytest.mark.parametrize("num_jobs", [5, 15, 30])
 def test_model_build_scales(benchmark, num_jobs):
-    jobs, resources = _batch(num_jobs)
+    jobs, resources = micro_batch(num_jobs)
     result = benchmark(lambda: build_model(jobs, resources, now=0))
     tasks = len(result.interval_of)
     benchmark.extra_info["tasks"] = tasks
@@ -47,7 +26,7 @@ def test_model_build_scales(benchmark, num_jobs):
 
 @pytest.mark.parametrize("num_jobs", [5, 15, 30])
 def test_warm_start_scales(benchmark, num_jobs):
-    jobs, resources = _batch(num_jobs)
+    jobs, resources = micro_batch(num_jobs)
     formulation = build_model(jobs, resources, now=0)
     formulation.model.engine().reset()
 
@@ -58,7 +37,7 @@ def test_warm_start_scales(benchmark, num_jobs):
 
 @pytest.mark.parametrize("num_jobs", [5, 15])
 def test_full_solve_budgeted(benchmark, num_jobs):
-    jobs, resources = _batch(num_jobs)
+    jobs, resources = micro_batch(num_jobs)
     solver = CpSolver(SolverParams(time_limit=0.5))
 
     def solve():
@@ -71,7 +50,7 @@ def test_full_solve_budgeted(benchmark, num_jobs):
 
 
 def test_root_propagation(benchmark):
-    jobs, resources = _batch(30)
+    jobs, resources = micro_batch(30)
     formulation = build_model(jobs, resources, now=0)
     engine = formulation.model.engine()
 

@@ -21,20 +21,11 @@ Exits non-zero on any violation (used by the CI trace-smoke job).
 import argparse
 import sys
 
-from repro.core import MrcpRm, MrcpRmConfig
-from repro.cp.solver import SolverParams
-from repro.faults import FaultModel
-from repro.metrics import MetricsCollector
-from repro.obs import ObsConfig
+from repro.experiments.configs import forensics_config
+from repro.experiments.runner import build_live_run
 from repro.obs.conformance import validate_trace_events
 from repro.obs.forensics import attribute_lateness, format_attributions
 from repro.obs.report import write_report
-from repro.sim import RandomStreams, Simulator
-from repro.workload import (
-    SyntheticWorkloadParams,
-    generate_synthetic_workload,
-    make_uniform_cluster,
-)
 
 
 def _check(ok: bool, message: str) -> None:
@@ -49,41 +40,15 @@ def _run(seed: int):
 
     Returns (metrics, jobs, resources, events, plan_history).
     """
-    params = SyntheticWorkloadParams(
-        num_jobs=14,
-        total_map_slots=8,
-        total_reduce_slots=8,
-        deadline_multiplier_max=1.4,
-        scale=0.1,
+    run = build_live_run(forensics_config(faults=True), replication=seed)
+    result = run.finish()
+    return (
+        result,
+        run.jobs,
+        run.resources,
+        run.tracer.recorder.events,
+        run.manager.plan_history,
     )
-    jobs = generate_synthetic_workload(params, streams=RandomStreams(seed))
-    resources = make_uniform_cluster(4, 2, 2)
-    sim = Simulator()
-    metrics = MetricsCollector()
-    tracer = ObsConfig(trace=True, plan_history=True).make_tracer()
-    tracer.bind_sim_clock(lambda: sim.now)
-    sim.attach_observability(tracer.registry)
-    faults = FaultModel(
-        task_failure_prob=0.15,
-        straggler_prob=0.2,
-        straggler_factor=2.0,
-        outage_rate=0.002,
-        outage_duration_range=(30.0, 90.0),
-        outage_horizon=2000.0,
-        seed=seed,
-    )
-    config = MrcpRmConfig(
-        faults=faults,
-        record_plan_history=True,
-        solver=SolverParams(time_limit=0.5, tree_fail_limit=200, use_lns=False),
-    )
-    manager = MrcpRm(sim, resources, config, metrics, tracer=tracer)
-    for job in jobs:
-        sim.schedule_at(job.arrival_time, lambda j=job: manager.submit(j))
-    sim.run()
-    manager.executor.assert_quiescent()
-    result = metrics.finalize()
-    return result, jobs, resources, tracer.recorder.events, manager.plan_history
 
 
 def smoke(out: str, seed: int) -> None:

@@ -74,42 +74,18 @@ def quick_demo(
     seed: int = 0,
     num_jobs: int = 10,
     faults: Optional[FaultModel] = None,
-    tracer=None,
 ) -> RunMetrics:
     """Run a small MRCP-RM open system end to end; returns its metrics.
 
     Pass a :class:`FaultModel` to subject the run to task failures,
-    stragglers, and resource outages; the default (``None``) is the
-    fault-free happy path.  Pass a :class:`repro.obs.Tracer` to capture a
-    trace of the run (the caller writes it out afterwards).
+    stragglers, and resource outages (re-seeded with ``seed``); the
+    default (``None``) is the fault-free happy path.  The scenario is
+    :func:`repro.experiments.configs.demo_config`: build it with
+    :func:`repro.experiments.runner.build_live_run` to trace or inspect
+    the run.
     """
-    params = SyntheticWorkloadParams(
-        num_jobs=num_jobs,
-        map_tasks_range=(1, 8),
-        reduce_tasks_range=(1, 4),
-        e_max=10,
-        ar_probability=0.3,
-        s_max=200,
-        deadline_multiplier_max=3.0,
-        arrival_rate=0.05,
-        total_map_slots=8,
-        total_reduce_slots=8,
-    )
-    jobs = generate_synthetic_workload(params, seed=seed)
-    resources = make_uniform_cluster(4, 2, 2)
-    sim = Simulator()
-    metrics = MetricsCollector()
-    if tracer is not None:
-        from repro.obs.trace import NULL_TRACER
+    from repro.experiments.configs import demo_config
+    from repro.experiments.runner import build_live_run
 
-        if tracer is not NULL_TRACER:  # never mutate the shared null tracer
-            tracer.bind_sim_clock(lambda: sim.now)
-        sim.attach_observability(tracer.registry)
-    manager = MrcpRm(
-        sim, resources, MrcpRmConfig(faults=faults), metrics, tracer=tracer
-    )
-    for job in jobs:
-        sim.schedule_at(job.arrival_time, lambda j=job: manager.submit(j))
-    sim.run()
-    manager.executor.assert_quiescent()
-    return metrics.finalize()
+    run = build_live_run(demo_config(num_jobs, faults), replication=seed)
+    return run.finish()

@@ -52,46 +52,6 @@ WALL_EXEMPT = frozenset({"sweep_pool"})
 # --------------------------------------------------------------------------
 
 
-def _micro_batch(num_jobs: int, deadline_multiplier_max: float = 3.0, seed: int = 5):
-    """The solver micro-benchmark batch (mirrors benchmarks/bench_solver_micro).
-
-    Tight deadline multipliers make the warm start suboptimal so the tree
-    phase has genuine work (its fail limit binds -- nonzero, pinned effort
-    counters).
-    """
-    from repro.workload import (
-        SyntheticWorkloadParams,
-        generate_synthetic_workload,
-        make_uniform_cluster,
-    )
-
-    params = SyntheticWorkloadParams(
-        num_jobs=num_jobs,
-        map_tasks_range=(1, 10),
-        reduce_tasks_range=(1, 5),
-        e_max=20,
-        ar_probability=0.0,
-        deadline_multiplier_max=deadline_multiplier_max,
-        arrival_rate=1.0,
-        total_map_slots=20,
-        total_reduce_slots=20,
-    )
-    jobs = generate_synthetic_workload(params, seed=seed)
-    resources = make_uniform_cluster(10, 2, 2)
-    return jobs, resources
-
-
-def _deterministic_solver_params():
-    """Fail-limited, LNS-off solver: identical search on every machine.
-
-    The generous time limit never binds on the pinned instances; the fail
-    limit does, so the explored tree -- and the objective -- is exact.
-    """
-    from repro.cp.solver import SolverParams
-
-    return SolverParams(time_limit=30.0, tree_fail_limit=200, use_lns=False)
-
-
 #: Iteration count of the calibration spin loop.  Sized so the pre-existing
 #: pinned baseline norms stay on their historical scale (the spin wall is
 #: close to what the old solver-shaped calibration measured on the baseline
@@ -134,8 +94,9 @@ def _case_solver_micro_warm() -> Tuple[float, Dict[str, Any]]:
     """Model build + warm-start list scheduling on the 15-job batch."""
     from repro.core.formulation import build_model
     from repro.cp.heuristics import list_schedule
+    from repro.experiments.configs import micro_batch
 
-    jobs, resources = _micro_batch(30)
+    jobs, resources = micro_batch(30)
     t0 = time.perf_counter()
     for _ in range(20):  # amplify the ~5ms op well above timer noise
         formulation = build_model(jobs, resources, now=0)
@@ -152,9 +113,10 @@ def _case_solver_micro_solve() -> Tuple[float, Dict[str, Any]]:
     """Full deterministic (fail-limited, LNS-off) solve of the 15-job batch."""
     from repro.core.formulation import build_model
     from repro.cp.solver import CpSolver
+    from repro.experiments.configs import bench_solver_params, micro_batch
 
-    jobs, resources = _micro_batch(30, deadline_multiplier_max=1.2)
-    solver = CpSolver(_deterministic_solver_params())
+    jobs, resources = micro_batch(30, deadline_multiplier_max=1.2)
+    solver = CpSolver(bench_solver_params())
     t0 = time.perf_counter()
     formulation = build_model(jobs, resources, now=0)
     result = solver.solve(formulation.model)
@@ -193,6 +155,7 @@ def _run_once_case(config, repeats: int = 3) -> Tuple[float, Dict[str, Any]]:
 def _case_fig2_small() -> Tuple[float, Dict[str, Any]]:
     """Figure 2 shape at smoke scale: Facebook workload through MRCP-RM."""
     from repro.core import MrcpRmConfig
+    from repro.experiments.configs import bench_solver_params
     from repro.experiments.runner import RunConfig, SystemConfig
     from repro.workload import FacebookWorkloadParams
 
@@ -206,7 +169,7 @@ def _case_fig2_small() -> Tuple[float, Dict[str, Any]]:
             scale=0.05,
         ),
         system=SystemConfig(num_resources=3, map_slots=1, reduce_slots=1),
-        mrcp=MrcpRmConfig(solver=_deterministic_solver_params()),
+        mrcp=MrcpRmConfig(solver=bench_solver_params()),
         seed=2,
     )
     return _run_once_case(config)
@@ -214,28 +177,9 @@ def _case_fig2_small() -> Tuple[float, Dict[str, Any]]:
 
 def _case_fig7_small() -> Tuple[float, Dict[str, Any]]:
     """Figure 7 shape at smoke scale: tight-deadline synthetic workload."""
-    from repro.core import MrcpRmConfig
-    from repro.experiments.runner import RunConfig, SystemConfig
-    from repro.workload import SyntheticWorkloadParams
+    from repro.experiments.configs import fig7_smoke_config
 
-    config = RunConfig(
-        scheduler="mrcp-rm",
-        workload="synthetic",
-        synthetic=SyntheticWorkloadParams(
-            num_jobs=12,
-            map_tasks_range=(1, 8),
-            reduce_tasks_range=(1, 4),
-            e_max=20,
-            ar_probability=0.5,
-            s_max=500,
-            deadline_multiplier_max=1.3,
-            arrival_rate=0.05,
-        ),
-        system=SystemConfig(num_resources=3, map_slots=2, reduce_slots=2),
-        mrcp=MrcpRmConfig(solver=_deterministic_solver_params()),
-        seed=7,
-    )
-    return _run_once_case(config)
+    return _run_once_case(fig7_smoke_config())
 
 
 def _case_sweep_pool() -> Tuple[float, Dict[str, Any]]:
@@ -247,34 +191,26 @@ def _case_sweep_pool() -> Tuple[float, Dict[str, Any]]:
     (pool startup, pickling, per-cell dispatch) for the regression gate.
     """
     import hashlib
+    from dataclasses import replace as _replace
 
-    from repro.core import MrcpRmConfig
-    from repro.experiments.configs import LabeledConfig
+    from repro.experiments.configs import LabeledConfig, fig7_smoke_config
     from repro.experiments.pool import SweepSpec, run_sweep
-    from repro.experiments.runner import RunConfig, SystemConfig
-    from repro.workload import SyntheticWorkloadParams
+
+    base = fig7_smoke_config()  # cells draw their own seeds from root_seed
 
     def point(arrival_rate: float) -> LabeledConfig:
+        synthetic = _replace(
+            base.synthetic,
+            num_jobs=6,
+            map_tasks_range=(1, 6),
+            reduce_tasks_range=(1, 3),
+            arrival_rate=arrival_rate,
+        )
         return LabeledConfig(
             label=f"lambda={arrival_rate:g}",
             factor_value=arrival_rate,
             scheduler="mrcp-rm",
-            config=RunConfig(
-                scheduler="mrcp-rm",
-                workload="synthetic",
-                synthetic=SyntheticWorkloadParams(
-                    num_jobs=6,
-                    map_tasks_range=(1, 6),
-                    reduce_tasks_range=(1, 3),
-                    e_max=20,
-                    ar_probability=0.5,
-                    s_max=500,
-                    deadline_multiplier_max=1.3,
-                    arrival_rate=arrival_rate,
-                ),
-                system=SystemConfig(num_resources=3, map_slots=2, reduce_slots=2),
-                mrcp=MrcpRmConfig(solver=_deterministic_solver_params()),
-            ),
+            config=_replace(base, synthetic=synthetic),
         )
 
     spec = SweepSpec(
@@ -306,34 +242,13 @@ def _case_telemetry_overhead() -> Tuple[float, Dict[str, Any]]:
     """
     from dataclasses import replace as _replace
 
-    from repro.core import MrcpRmConfig
-    from repro.experiments.pool import PinnedClock
-    from repro.experiments.runner import (
-        RunConfig,
-        SystemConfig,
-        build_live_run,
-    )
+    from repro.experiments.configs import fig7_smoke_config
+    from repro.experiments.runner import RunConfig, build_live_run
     from repro.obs import ObsConfig
+    from repro.obs.clocks import PinnedClock
     from repro.obs.timeseries import TelemetryConfig
-    from repro.workload import SyntheticWorkloadParams
 
-    base = RunConfig(
-        scheduler="mrcp-rm",
-        workload="synthetic",
-        synthetic=SyntheticWorkloadParams(
-            num_jobs=12,
-            map_tasks_range=(1, 8),
-            reduce_tasks_range=(1, 4),
-            e_max=20,
-            ar_probability=0.5,
-            s_max=500,
-            deadline_multiplier_max=1.3,
-            arrival_rate=0.05,
-        ),
-        system=SystemConfig(num_resources=3, map_slots=2, reduce_slots=2),
-        mrcp=MrcpRmConfig(solver=_deterministic_solver_params()),
-        seed=7,
-    )
+    base = fig7_smoke_config()
 
     def with_obs(telemetry) -> RunConfig:
         return _replace(

@@ -83,22 +83,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_tracer(args: argparse.Namespace):
-    """Build a tracer from a subcommand's ``--trace-out`` (None when unset)."""
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out is None:
-        return None
+def _run_demo(args: argparse.Namespace, num_jobs: int = 10, faults=None):
+    """Run the demo scenario at ``--seed``, traced when ``--trace-out`` is set.
+
+    The trace is written here rather than through ``ObsConfig.trace_out``
+    so the file lands exactly at the given path for every seed.
+    """
+    from dataclasses import replace
+
+    from repro.experiments.configs import demo_config
+    from repro.experiments.runner import build_live_run
     from repro.obs import ObsConfig
 
-    return ObsConfig(trace_out=trace_out).make_tracer()
+    config = demo_config(num_jobs, faults)
+    if args.trace_out is not None:
+        config = replace(config, obs=ObsConfig(trace=True))
+    run = build_live_run(config, replication=args.seed)
+    return run, run.finish()
 
 
-def _write_trace(tracer, args: argparse.Namespace) -> None:
-    """Write the captured trace and report the output paths."""
-    if tracer is None:
+def _write_trace(run, args: argparse.Namespace, label: str) -> None:
+    """Write the run's trace to ``--trace-out`` and report the paths."""
+    if args.trace_out is None:
         return
-    chrome, jsonl = tracer.write(args.trace_out)
-    print(f"  trace written          : {chrome} (+ {jsonl})")
+    chrome, jsonl = run.tracer.write(args.trace_out)
+    print(f"{label}: {chrome} (+ {jsonl})")
 
 
 def _print_tardiness(metrics, indent: str = "  ") -> None:
@@ -114,10 +123,7 @@ def _print_tardiness(metrics, indent: str = "  ") -> None:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro import quick_demo
-
-    tracer = _make_tracer(args)
-    metrics = quick_demo(seed=args.seed, tracer=tracer)
+    run, metrics = _run_demo(args)
     print("quick demo (MRCP-RM on a 4-resource cluster):")
     print(f"  jobs arrived/completed : {metrics.jobs_arrived}/{metrics.jobs_completed}")
     print(f"  late jobs (N)          : {metrics.late_jobs}")
@@ -125,7 +131,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(f"  avg turnaround (T)     : {metrics.avg_turnaround:.1f} s")
     print(f"  avg overhead (O)       : {metrics.avg_sched_overhead * 1000:.2f} ms/job")
     _print_tardiness(metrics)
-    _write_trace(tracer, args)
+    _write_trace(run, args, "  trace written          ")
     return 0
 
 
@@ -145,7 +151,6 @@ def _parse_outage(spec: str):
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro import quick_demo
     from repro.faults import FaultModel
 
     model = FaultModel(
@@ -153,12 +158,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         straggler_prob=args.straggler_prob,
         straggler_factor=args.straggler_factor,
         outages=tuple(args.outage or ()),
-        seed=args.seed,
     )
-    tracer = _make_tracer(args)
-    metrics = quick_demo(
-        seed=args.seed, num_jobs=args.jobs, faults=model, tracer=tracer
-    )
+    run, metrics = _run_demo(args, num_jobs=args.jobs, faults=model)
     print("fault-injected demo (MRCP-RM on a 4-resource cluster):")
     print(f"  jobs arrived/completed/failed : "
           f"{metrics.jobs_arrived}/{metrics.jobs_completed}/{metrics.jobs_failed}")
@@ -173,7 +174,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     print(f"  replans on failure            : {metrics.replans_on_failure}")
     print(f"  fallback solves               : {metrics.fallback_solves}")
     _print_tardiness(metrics)
-    _write_trace(tracer, args)
+    _write_trace(run, args, "  trace written          ")
     return 0
 
 
@@ -214,70 +215,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.core import MrcpRm, MrcpRmConfig
-    from repro.cp.solver import SolverParams
-    from repro.metrics import MetricsCollector
-    from repro.obs import ObsConfig
+    from repro.experiments.configs import forensics_config
+    from repro.experiments.runner import build_live_run
     from repro.obs.forensics import attribute_lateness, format_attributions
     from repro.obs.report import write_report
-    from repro.obs.slo import SloMonitor, default_slos
-    from repro.obs.timeseries import TelemetryConfig, TimeSeriesSampler
-    from repro.sim import RandomStreams, Simulator
-    from repro.workload import (
-        SyntheticWorkloadParams,
-        generate_synthetic_workload,
-        make_uniform_cluster,
-    )
 
-    params = SyntheticWorkloadParams(
-        num_jobs=args.jobs,
-        total_map_slots=8,
-        total_reduce_slots=8,
-        deadline_multiplier_max=1.4,
-        scale=0.1,
-    )
-    jobs = generate_synthetic_workload(params, streams=RandomStreams(args.seed))
-    resources = make_uniform_cluster(4, 2, 2)
-    sim = Simulator()
-    metrics = MetricsCollector()
-    tracer = ObsConfig(trace=True, plan_history=True).make_tracer()
-    tracer.bind_sim_clock(lambda: sim.now)
-    sim.attach_observability(tracer.registry)
-    faults = None
-    if args.faults:
-        from repro.faults import FaultModel
-
-        faults = FaultModel(
-            task_failure_prob=0.15,
-            straggler_prob=0.2,
-            straggler_factor=2.0,
-            outage_rate=0.002,
-            outage_duration_range=(30.0, 90.0),
-            outage_horizon=2000.0,
-            seed=args.seed,
-        )
-    config = MrcpRmConfig(
-        faults=faults,
-        record_plan_history=True,
-        solver=SolverParams(time_limit=0.5, tree_fail_limit=200, use_lns=False),
-    )
-    manager = MrcpRm(sim, resources, config, metrics, tracer=tracer)
-    for job in jobs:
-        sim.schedule_at(job.arrival_time, lambda j=job: manager.submit(j))
-    # Live telemetry rides along so the report gets its timeline strips.
-    sampler = TimeSeriesSampler(TelemetryConfig(enabled=True, interval=5.0))
-    sampler.attach(sim, collector=metrics, registry=tracer.registry)
-    manager.attach_telemetry(sampler)
-    monitor = SloMonitor(default_slos(), tracer=tracer)
-    monitor.subscribe(sampler)
-    sampler.start()
-    sim.run()
-    manager.executor.assert_quiescent()
-    sampler.finalize()
-    result = metrics.finalize()
-    events = tracer.recorder.events
+    config = forensics_config(num_jobs=args.jobs, faults=args.faults)
+    run = build_live_run(config, replication=args.seed)
+    result = run.finish()
+    events = run.tracer.recorder.events
+    plan_history = run.manager.plan_history
     attributions = attribute_lateness(
-        result, jobs, events, plan_history=manager.plan_history
+        result, run.jobs, events, plan_history=plan_history
     )
     title = (
         f"MRCP-RM run report (seed {args.seed}, {args.jobs} jobs"
@@ -286,12 +235,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     write_report(
         args.out,
         result,
-        resources=resources,
+        resources=run.resources,
         events=events,
         attributions=attributions,
-        plan_history=manager.plan_history,
-        series=sampler.store.samples,
-        alerts=[alert.as_dict() for alert in monitor.alerts],
+        plan_history=plan_history,
+        series=run.sampler.store.samples,
+        alerts=[alert.as_dict() for alert in run.slo_monitor.alerts],
         title=title,
     )
     print(f"run: {result.jobs_completed}/{result.jobs_arrived} jobs completed, "
@@ -300,9 +249,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if attributions:
         print(format_attributions(attributions))
     print(f"report written: {args.out}")
-    if args.trace_out is not None:
-        chrome, jsonl = tracer.write(args.trace_out)
-        print(f"trace written : {chrome} (+ {jsonl})")
+    _write_trace(run, args, "trace written ")
     return 0
 
 
@@ -313,7 +260,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    from repro.resilience.chaos import default_chaos_config
+    from repro.experiments.configs import default_chaos_config
     from repro.resilience.checkpoint import (
         CheckpointConfig,
         restore_run,
@@ -397,6 +344,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_telemetry(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
+    from repro.experiments.configs import default_chaos_config, overload_config
     from repro.experiments.runner import build_live_run
     from repro.obs.export import (
         render_openmetrics,
@@ -404,11 +352,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         write_openmetrics,
     )
     from repro.obs.timeseries import TelemetryConfig
-    from repro.resilience.chaos import (
-        default_chaos_config,
-        escalation_ladder,
-        fresh_run_config,
-    )
 
     os.makedirs(args.out_dir, exist_ok=True)
     series_path = os.path.join(args.out_dir, "series.jsonl")
@@ -416,19 +359,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     prom_path = os.path.join(args.out_dir, "telemetry.prom")
 
     if args.scenario == "overload":
-        # The overload-burst chaos scenario: a 10x arrival spike with the
-        # CP rungs injected to fail, so early plans land on the greedy
-        # rung and the degraded-solves SLO deterministically fires.
-        config = default_chaos_config(
-            seed=args.seed, faults=False, ladder=escalation_ladder()
-        )
-        config = replace(
-            config,
-            synthetic=replace(
-                config.synthetic,
-                arrival_rate=config.synthetic.arrival_rate * 10.0,
-            ),
-        )
+        config = overload_config(seed=args.seed)
     else:
         config = default_chaos_config(seed=args.seed, faults=False)
     telemetry = TelemetryConfig(
@@ -437,7 +368,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         series_out=series_path,
         alerts_out=alerts_path,
     )
-    config = fresh_run_config(config)
     config = replace(config, obs=replace(config.obs, telemetry=telemetry))
 
     run = build_live_run(config)
@@ -473,10 +403,10 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    from repro.experiments.configs import default_diff_config
     from repro.obs.diff import (
         DiffError,
         capture_run_dir,
-        default_diff_config,
         diff_run_dirs,
         diff_sweeps,
         format_run_diff,
@@ -578,8 +508,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    import json as _json
-
+    from repro.ioutil import atomic_write_json
     from repro.service.batching import BatchingConfig
     from repro.service.loadgen import (
         LoadProfile,
@@ -617,12 +546,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
           f"{report.latency_p50 * 1000:.2f} / {report.latency_p99 * 1000:.2f} ms"
           f" (max {report.latency_max * 1000:.2f} ms)")
     if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(
-                report.as_dict(include_quotes=args.quotes), fh,
-                indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+        atomic_write_json(args.json, report.as_dict(include_quotes=args.quotes))
         print(f"  report written             : {args.json}")
     if report.requests == 0:
         print("loadtest FAILED: no responses collected", file=sys.stderr)

@@ -17,21 +17,36 @@ Two profiles:
 The boldface (default) values of Table 3 are not recoverable from the
 paper's text; DESIGN.md Section 4 records the choices used here
 (e_max=50, p=0.5, s_max=10000, d_UL=5, lambda=0.01, m=50).
+
+This module is also the one home of every *pinned scenario* -- the small
+seeded runs behind ``mrcp-rm demo``/``report``/``telemetry``/``checkpoint``/
+``chaos``/``diff``, the examples and the bench suite -- and of the pinning
+recipe (:func:`deterministic_run_config`, :func:`fresh_run_config`) that
+makes a run byte-reproducible.  Every one of them is a plain
+:class:`~repro.experiments.runner.RunConfig` that
+:func:`~repro.experiments.runner.build_live_run` wires up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.formulation import FormulationMode
 from repro.core.mrcp_rm import MrcpRmConfig
 from repro.cp.solver import SolverParams
 from repro.experiments.runner import RunConfig, SystemConfig
+from repro.faults import FaultModel, OutageWindow
+from repro.obs import ObsConfig
+from repro.obs.clocks import PinnedClock
+from repro.obs.timeseries import TelemetryConfig
+from repro.resilience.breaker import InjectedSolverFailures, LadderConfig
 from repro.workload import (
     FacebookWorkloadParams,
     SyntheticWorkloadParams,
     WorkflowWorkloadParams,
+    generate_synthetic_workload,
+    make_uniform_cluster,
 )
 
 SCALED = "scaled"
@@ -570,6 +585,303 @@ def _ext_workflow_density(profile: str) -> FigureSeries:
         notes="More precedence edges restrict overlap; T should not drop as "
         "density rises.",
     )
+
+
+# --------------------------------------------------------------------------
+# Pinning recipe: byte-reproducible runs on any machine
+# --------------------------------------------------------------------------
+
+#: Time limit large enough that the fail limit always binds first: the
+#: explored search tree -- and hence N/T/P -- is identical on every machine.
+_DETERMINISTIC_TIME_LIMIT = 1.0e6
+#: Fail limit substituted when a config left the tree search unlimited.
+_DETERMINISTIC_FAIL_LIMIT = 300
+
+
+def deterministic_solver_params(params: SolverParams) -> SolverParams:
+    """Rewrite a solver budget so search effort is machine-independent.
+
+    Huge time limit (never binds), fail-limited tree search, LNS off (its
+    improvement loop is time-budgeted and would reintroduce wall-clock
+    dependence).
+    """
+    return replace(
+        params,
+        time_limit=_DETERMINISTIC_TIME_LIMIT,
+        tree_fail_limit=params.tree_fail_limit or _DETERMINISTIC_FAIL_LIMIT,
+        use_lns=False,
+    )
+
+
+def deterministic_run_config(config: RunConfig) -> RunConfig:
+    """Pin ``config`` so overhead O replays byte-identically.
+
+    A fresh :class:`~repro.obs.clocks.PinnedClock` as the wall clock (O
+    counts clock samples) and a fail-limited, LNS-free solver budget
+    (search effort becomes machine-independent).  Sweep cells, checkpoints,
+    chaos scenarios and diff captures all run under it.
+    """
+    return replace(
+        config,
+        mrcp=replace(
+            config.mrcp,
+            solver=deterministic_solver_params(config.mrcp.solver),
+        ),
+        obs=replace(config.obs, wall_clock=PinnedClock()),
+    )
+
+
+def fresh_run_config(config: RunConfig) -> RunConfig:
+    """Reset the config's run-mutated carriers to their virgin state.
+
+    Two config-embedded objects mutate as a run consumes them: the
+    :class:`~repro.obs.clocks.PinnedClock` (its sample count) and the
+    ladder's :class:`~repro.resilience.breaker.InjectedSolverFailures` (its
+    consumed-budget bookkeeping).  Reusing one config object for a
+    checkpointed run *and* its restore, for two runs that must agree, or
+    for a retried sweep cell would otherwise start the second run
+    mid-state and fork it from the first.
+    """
+    clock = config.obs.wall_clock
+    if isinstance(clock, PinnedClock) and clock.count:
+        config = replace(
+            config, obs=replace(config.obs, wall_clock=PinnedClock(clock.tick))
+        )
+    ladder = config.mrcp.resilience
+    if ladder is not None and ladder.chaos is not None and ladder.chaos.consumed:
+        config = replace(
+            config,
+            mrcp=replace(
+                config.mrcp,
+                resilience=replace(
+                    ladder,
+                    chaos=InjectedSolverFailures(counts=dict(ladder.chaos.counts)),
+                ),
+            ),
+        )
+    return config
+
+
+# --------------------------------------------------------------------------
+# Pinned scenarios
+#
+# Demo and forensics configs keep ``seed=0``: build them with
+# ``build_live_run(config, replication=seed)`` so the run draws
+# ``RandomStreams(seed)`` and re-seeds its fault model with ``seed``.
+# --------------------------------------------------------------------------
+
+
+def demo_config(
+    num_jobs: int = 10, faults: Optional[FaultModel] = None
+) -> RunConfig:
+    """The quick demo: a small Table 3 stream on 4 x (2 map, 2 reduce)."""
+    return RunConfig(
+        synthetic=SyntheticWorkloadParams(
+            num_jobs=num_jobs,
+            map_tasks_range=(1, 8),
+            reduce_tasks_range=(1, 4),
+            e_max=10,
+            ar_probability=0.3,
+            s_max=200,
+            deadline_multiplier_max=3.0,
+            arrival_rate=0.05,
+        ),
+        system=SystemConfig(num_resources=4, map_slots=2, reduce_slots=2),
+        faults=faults,
+    )
+
+
+def forensics_config(num_jobs: int = 14, faults: bool = False) -> RunConfig:
+    """A deadline-tight traced run: the input of ``mrcp-rm report``.
+
+    Tracing, plan history and live telemetry are on, so lateness
+    attribution and the HTML report have every artifact they read.  With
+    ``faults`` the run also suffers task failures, stragglers and random
+    resource outages.
+    """
+    fault_model = None
+    if faults:
+        fault_model = FaultModel(
+            task_failure_prob=0.15,
+            straggler_prob=0.2,
+            straggler_factor=2.0,
+            outage_rate=0.002,
+            outage_duration_range=(30.0, 90.0),
+            outage_horizon=2000.0,
+        )
+    return RunConfig(
+        synthetic=SyntheticWorkloadParams(
+            num_jobs=num_jobs, deadline_multiplier_max=1.4, scale=0.1
+        ),
+        system=SystemConfig(num_resources=4, map_slots=2, reduce_slots=2),
+        mrcp=MrcpRmConfig(
+            solver=SolverParams(time_limit=0.5, tree_fail_limit=200, use_lns=False)
+        ),
+        faults=fault_model,
+        obs=ObsConfig(
+            trace=True,
+            plan_history=True,
+            telemetry=TelemetryConfig(enabled=True, interval=5.0),
+        ),
+    )
+
+
+def default_chaos_config(
+    seed: int = 0,
+    faults: bool = True,
+    ladder: Optional[LadderConfig] = None,
+) -> RunConfig:
+    """A small, fault-ridden, fully deterministic mrcp-rm run.
+
+    Big enough to exercise retries, an outage window and re-plans; small
+    enough that a kill/restore cycle completes in seconds.  Always pinned
+    (:func:`deterministic_run_config`) so O replays byte-identically.
+    """
+    fault_model = None
+    if faults:
+        fault_model = FaultModel(
+            task_failure_prob=0.15,
+            outages=(OutageWindow(0, 30.0, 15.0),),
+            seed=seed,
+        )
+    config = RunConfig(
+        synthetic=SyntheticWorkloadParams(
+            num_jobs=8,
+            map_tasks_range=(1, 3),
+            reduce_tasks_range=(1, 2),
+            e_max=8,
+            ar_probability=0.2,
+            s_max=50,
+            deadline_multiplier_max=3.0,
+            arrival_rate=0.05,
+        ),
+        system=SystemConfig(num_resources=2, map_slots=2, reduce_slots=2),
+        faults=fault_model,
+        seed=seed,
+    )
+    if ladder is not None:
+        config = replace(config, mrcp=replace(config.mrcp, resilience=ladder))
+    return deterministic_run_config(config)
+
+
+def escalation_ladder(rounds: int = 1) -> LadderConfig:
+    """A ladder configured to demonstrably walk all four rungs.
+
+    Injected failures make the first ``rounds`` attempts of each CP rung
+    and of EDF fail, so early invocations escalate to ``greedy``, the
+    breakers trip open, and later invocations recover rung by rung as the
+    probes succeed -- the full state machine in one short run.
+    """
+    return LadderConfig(
+        failure_threshold=1,
+        cooldown=2,
+        chaos=InjectedSolverFailures(
+            counts={"cp_full": rounds + 2, "cp_limited": rounds + 1, "edf": rounds}
+        ),
+    )
+
+
+def overload_config(seed: int = 0) -> RunConfig:
+    """The overload burst: the chaos run at 10x its arrival rate, with the
+    CP rungs injected to fail.
+
+    Early plans land on the greedy rung, so the degradation ladder walks
+    all four rungs and the degraded-solves SLO deterministically fires.
+    """
+    config = default_chaos_config(
+        seed=seed, faults=False, ladder=escalation_ladder()
+    )
+    return replace(
+        config,
+        synthetic=replace(
+            config.synthetic,
+            arrival_rate=config.synthetic.arrival_rate * 10.0,
+        ),
+    )
+
+
+def default_diff_config(
+    seed: int = 3, fail_limit: Optional[int] = None
+) -> RunConfig:
+    """A deterministic, contention-heavy scenario for diff drills.
+
+    Tight deadlines on a scarce two-resource cluster guarantee late jobs
+    (so delta waterfalls have content) and make the CP search tree deep
+    enough that the fail-limited budget actually decides the plan: the
+    warm-start incumbent is not optimal, so two captures differing only
+    in ``fail_limit`` (e.g. the default 200 vs 1) install different
+    plans, giving the engine a genuine divergence to localise.  The
+    default seed is one where that perturbation demonstrably forks the
+    plan history.
+    """
+    return RunConfig(
+        synthetic=SyntheticWorkloadParams(
+            num_jobs=14,
+            map_tasks_range=(2, 14),
+            reduce_tasks_range=(1, 6),
+            e_max=30,
+            ar_probability=0.5,
+            s_max=500,
+            deadline_multiplier_max=1.2,
+            arrival_rate=0.1,
+        ),
+        system=SystemConfig(num_resources=2, map_slots=2, reduce_slots=2),
+        mrcp=MrcpRmConfig(
+            record_plan_history=True,
+            solver=SolverParams(
+                time_limit=30.0,
+                tree_fail_limit=fail_limit if fail_limit is not None else 200,
+                use_lns=False,
+            ),
+        ),
+        seed=seed,
+    )
+
+
+def bench_solver_params() -> SolverParams:
+    """The bench suite's pinned solver: fail-limited at 200, LNS off."""
+    return deterministic_solver_params(SolverParams(tree_fail_limit=200))
+
+
+def fig7_smoke_config() -> RunConfig:
+    """Figure 7's tight-deadline synthetic shape at bench smoke scale."""
+    return RunConfig(
+        synthetic=SyntheticWorkloadParams(
+            num_jobs=12,
+            map_tasks_range=(1, 8),
+            reduce_tasks_range=(1, 4),
+            e_max=20,
+            ar_probability=0.5,
+            s_max=500,
+            deadline_multiplier_max=1.3,
+            arrival_rate=0.05,
+        ),
+        system=SystemConfig(num_resources=3, map_slots=2, reduce_slots=2),
+        mrcp=MrcpRmConfig(solver=bench_solver_params()),
+        seed=7,
+    )
+
+
+def micro_batch(num_jobs: int, deadline_multiplier_max: float = 3.0):
+    """The solver micro-benchmark batch: ``(jobs, resources)`` at time 0.
+
+    A dense batch (all arrivals within seconds) on 10 x (2,2) resources.
+    Tight deadline multipliers make the warm start suboptimal so the tree
+    phase has genuine work (its fail limit binds).
+    """
+    params = SyntheticWorkloadParams(
+        num_jobs=num_jobs,
+        map_tasks_range=(1, 10),
+        reduce_tasks_range=(1, 5),
+        e_max=20,
+        ar_probability=0.0,
+        deadline_multiplier_max=deadline_multiplier_max,
+        arrival_rate=1.0,
+        total_map_slots=20,
+        total_reduce_slots=20,
+    )
+    jobs = generate_synthetic_workload(params, seed=5)
+    return jobs, make_uniform_cluster(10, 2, 2)
 
 
 _FIGURES: Dict[str, Callable[[str], FigureSeries]] = {

@@ -48,21 +48,18 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.cp.solver import SolverParams
-from repro.experiments.configs import FigureSeries, LabeledConfig
+from repro.experiments.configs import (
+    FigureSeries,
+    LabeledConfig,
+    deterministic_run_config,
+    fresh_run_config,
+)
 from repro.experiments.runner import RunConfig, run_once
 from repro.ioutil import atomic_write_json, atomic_write_text
-from repro.obs.clocks import PinnedClock
 from repro.obs.timeseries import TelemetryConfig, read_series_jsonl
 
 SWEEP_SCHEMA = "repro-sweep/1"
 SWEEP_SERIES_SCHEMA = "repro-sweep-series/1"
-
-#: Time limit large enough that the fail limit always binds first: the
-#: explored search tree -- and hence N/T/P -- is identical on every machine.
-_DETERMINISTIC_TIME_LIMIT = 1.0e6
-#: Fail limit substituted when a config left the tree search unlimited.
-_DETERMINISTIC_FAIL_LIMIT = 300
 
 #: Ordered CSV columns of the deterministic per-cell metrics.
 _CSV_METRICS = ("O", "N", "T", "P")
@@ -120,40 +117,12 @@ def cell_seed(root_seed: int, config: RunConfig, replication: int) -> int:
     return stable_hash(f"{root_seed}|{workload_key(config)}|{replication}")
 
 
-# PinnedClock moved to repro.obs.clocks (the service path needs it without
-# importing the process-pool machinery); re-exported here so existing
-# imports -- and pickles referencing this module -- keep working.
-
-
-def deterministic_solver_params(params: SolverParams) -> SolverParams:
-    """Rewrite a solver budget so search effort is machine-independent.
-
-    Huge time limit (never binds), fail-limited tree search, LNS off (its
-    improvement loop is time-budgeted and would reintroduce wall-clock
-    dependence).  The same recipe the bench suite pins its baselines with.
-    """
-    return replace(
-        params,
-        time_limit=_DETERMINISTIC_TIME_LIMIT,
-        tree_fail_limit=params.tree_fail_limit or _DETERMINISTIC_FAIL_LIMIT,
-        use_lns=False,
-    )
-
-
 def _canonical_config(
     config: RunConfig, seed: int, deterministic: bool
 ) -> RunConfig:
     """The exact config a cell runs: derived seed, optionally pinned."""
     cfg = replace(config, seed=seed)
-    if deterministic:
-        cfg = replace(
-            cfg,
-            mrcp=replace(
-                cfg.mrcp, solver=deterministic_solver_params(cfg.mrcp.solver)
-            ),
-            obs=replace(cfg.obs, wall_clock=PinnedClock()),
-        )
-    return cfg
+    return deterministic_run_config(cfg) if deterministic else cfg
 
 
 # --------------------------------------------------------------------------
@@ -358,12 +327,10 @@ def execute_cell(job: CellJob) -> CellOutcome:
     """
     cell = job.cell
     outcome = _outcome_skeleton(cell, job.attempt)
-    config = cell.config
+    # Every attempt starts from a virgin clock, whether the cell runs
+    # in-process (workers=1), in a forked worker, or as a retry.
+    config = fresh_run_config(cell.config)
     obs = config.obs
-    if isinstance(obs.wall_clock, PinnedClock):
-        # Every attempt starts from a virgin clock, whether the cell runs
-        # in-process (workers=1), in a forked worker, or as a retry.
-        obs = replace(obs, wall_clock=PinnedClock(obs.wall_clock.tick))
     if job.capture and job.out_dir is not None:
         obs = replace(obs, trace_out=cell_trace_path(job.out_dir, cell.index))
     if job.telemetry and job.out_dir is not None:

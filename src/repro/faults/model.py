@@ -27,9 +27,10 @@ class OutageWindow:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"outage start {self.start} < 0")
-        if self.duration <= 0:
+        # Negated comparisons so NaN (which compares False) is rejected too.
+        if not self.start >= 0:
+            raise ValueError(f"outage start {self.start} must be >= 0")
+        if not self.duration > 0:
             raise ValueError(f"outage duration {self.duration} must be positive")
 
     @property
@@ -74,12 +75,13 @@ class FaultModel:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} {p} outside [0, 1]")
-        if self.straggler_factor <= 0:
+        # Negated comparisons so NaN (which compares False) is rejected too.
+        if not self.straggler_factor > 0:
             raise ValueError(f"straggler_factor {self.straggler_factor} must be positive")
-        if self.jitter_sigma < 0:
-            raise ValueError(f"jitter_sigma {self.jitter_sigma} < 0")
-        if self.outage_rate < 0:
-            raise ValueError(f"outage_rate {self.outage_rate} < 0")
+        if not self.jitter_sigma >= 0:
+            raise ValueError(f"jitter_sigma {self.jitter_sigma} must be >= 0")
+        if not self.outage_rate >= 0:
+            raise ValueError(f"outage_rate {self.outage_rate} must be >= 0")
         if self.outage_rate > 0:
             lo, hi = self.outage_duration_range
             if not 0 < lo <= hi:
@@ -87,7 +89,7 @@ class FaultModel:
                     f"outage_duration_range {self.outage_duration_range} must "
                     f"satisfy 0 < lo <= hi when outage_rate > 0"
                 )
-            if self.outage_horizon <= 0:
+            if not self.outage_horizon > 0:
                 raise ValueError(
                     "outage_rate > 0 needs a positive outage_horizon"
                 )

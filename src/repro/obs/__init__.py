@@ -114,7 +114,6 @@ _DIFF_EXPORTS = {
     "bisect_divergence": "repro.obs.diff",
     "canonicalize_events": "repro.obs.diff",
     "capture_run_dir": "repro.obs.diff",
-    "default_diff_config": "repro.obs.diff",
     "delta_waterfalls": "repro.obs.diff",
     "diff_run_dirs": "repro.obs.diff",
     "diff_runs": "repro.obs.diff",

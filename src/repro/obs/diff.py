@@ -499,7 +499,7 @@ def capture_run_dir(
 ) -> RunArtifacts:
     """Run ``config`` deterministically and persist the diffable artifacts.
 
-    The run is pinned (:func:`~repro.resilience.checkpoint.deterministic_run_config`:
+    The run is pinned (:func:`~repro.experiments.configs.deterministic_run_config`:
     pinned wall clock, fail-limited LNS-off solver) so a same-seed capture
     is byte-reproducible, then executed with tracing, plan history and
     telemetry on.  The directory holds ``run.json`` (metrics + job SLAs),
@@ -510,14 +510,14 @@ def capture_run_dir(
     """
     from dataclasses import replace
 
-    from repro.experiments.runner import build_live_run
-    from repro.obs.config import ObsConfig
-    from repro.obs.timeseries import TelemetryConfig
-    from repro.resilience.checkpoint import (
-        config_fingerprint,
+    from repro.experiments.configs import (
         deterministic_run_config,
         fresh_run_config,
     )
+    from repro.experiments.runner import build_live_run
+    from repro.obs.config import ObsConfig
+    from repro.obs.timeseries import TelemetryConfig
+    from repro.resilience.checkpoint import config_fingerprint
 
     os.makedirs(out_dir, exist_ok=True)
     config = fresh_run_config(deterministic_run_config(config))
@@ -901,10 +901,10 @@ def bisect_divergence(
     """
     from dataclasses import replace
 
+    from repro.experiments.configs import fresh_run_config
     from repro.experiments.runner import build_live_run
     from repro.resilience.checkpoint import (
         CheckpointConfig,
-        fresh_run_config,
         run_with_checkpoints,
     )
 
@@ -988,58 +988,6 @@ def bisect_divergence(
         invocation=first_divergent_plan(plans_a, plans_b),
         metrics=metrics_delta(metrics_a.as_dict(), metrics_b.as_dict()),
         checkpoints_compared=paired,
-    )
-
-
-# --------------------------------------------------------------------------
-# Canonical diff scenario (CLI capture mode, CI smoke, tests)
-# --------------------------------------------------------------------------
-
-
-def default_diff_config(
-    seed: int = 3,
-    fail_limit: Optional[int] = None,
-    num_jobs: int = 14,
-) -> Any:
-    """A deterministic, contention-heavy scenario for diff drills.
-
-    Tight deadlines on a scarce two-resource cluster guarantee late jobs
-    (so delta waterfalls have content) and make the CP search tree deep
-    enough that the fail-limited budget actually decides the plan: the
-    warm-start incumbent is not optimal, so two captures differing only
-    in ``fail_limit`` (e.g. the default 200 vs 1) install different
-    plans, giving the engine a genuine divergence to localise.  The
-    default seed is one where that perturbation demonstrably forks the
-    plan history.
-    """
-    from repro.core import MrcpRmConfig
-    from repro.cp.solver import SolverParams
-    from repro.experiments.runner import RunConfig, SystemConfig
-    from repro.workload import SyntheticWorkloadParams
-
-    return RunConfig(
-        scheduler="mrcp-rm",
-        workload="synthetic",
-        synthetic=SyntheticWorkloadParams(
-            num_jobs=num_jobs,
-            map_tasks_range=(2, 14),
-            reduce_tasks_range=(1, 6),
-            e_max=30,
-            ar_probability=0.5,
-            s_max=500,
-            deadline_multiplier_max=1.2,
-            arrival_rate=0.1,
-        ),
-        system=SystemConfig(num_resources=2, map_slots=2, reduce_slots=2),
-        mrcp=MrcpRmConfig(
-            record_plan_history=True,
-            solver=SolverParams(
-                time_limit=30.0,
-                tree_fail_limit=fail_limit if fail_limit is not None else 200,
-                use_lns=False,
-            ),
-        ),
-        seed=seed,
     )
 
 

@@ -11,6 +11,9 @@ Three pillars (see ``docs/RESILIENCE.md``):
 * :mod:`repro.resilience.chaos` -- kill/restore cycles, overload bursts
   and pool worker deaths that *prove* the two mechanisms above.
 
+The chaos scenarios' configs and the pinning recipe live with every other
+pinned scenario in :mod:`repro.experiments.configs`.
+
 The breaker module is imported eagerly (the resource manager config
 references :class:`LadderConfig`); checkpoint and chaos load lazily via
 PEP 562 so importing :mod:`repro.core` -- which imports this package --
@@ -40,13 +43,9 @@ __all__ = [
     "CheckpointMismatch",
     "CheckpointedRun",
     "capture_snapshot",
-    "deterministic_run_config",
-    "fresh_run_config",
     "restore_run",
     "run_with_checkpoints",
     "ChaosReport",
-    "default_chaos_config",
-    "escalation_ladder",
     "kill_restore_cycle",
     "overload_burst",
     "pool_worker_death",
@@ -58,15 +57,11 @@ _CHECKPOINT_EXPORTS = (
     "CheckpointMismatch",
     "CheckpointedRun",
     "capture_snapshot",
-    "deterministic_run_config",
-    "fresh_run_config",
     "restore_run",
     "run_with_checkpoints",
 )
 _CHAOS_EXPORTS = (
     "ChaosReport",
-    "default_chaos_config",
-    "escalation_ladder",
     "kill_restore_cycle",
     "overload_burst",
     "pool_worker_death",

@@ -7,7 +7,7 @@ Three scenarios, all seeded and fully deterministic:
   boundary executes), restore from the snapshot, run to completion, and
   require the restored run's O/N/T/P to be **byte-identical** to an
   uninterrupted same-seed run (pin the config with
-  :func:`~repro.resilience.checkpoint.deterministic_run_config` first).
+  :func:`~repro.experiments.configs.deterministic_run_config` first).
 * :func:`overload_burst` -- spike the arrival rate and force the CP
   rungs to fail via injected solver failures, driving the degradation
   ladder through all four rungs while the run stays correct; repeated
@@ -17,6 +17,10 @@ Three scenarios, all seeded and fully deterministic:
   attempt of one cell; the PR 4 pool's worker-death recovery must retry
   the cell and the merged ``sweep.csv`` must stay byte-identical to an
   undisturbed sequential sweep.
+
+The scenario configs (:func:`~repro.experiments.configs.default_chaos_config`,
+:func:`~repro.experiments.configs.overload_config`) live with the other
+pinned scenarios in :mod:`repro.experiments.configs`.
 
 Every scenario also audits run invariants (:func:`invariant_violations`):
 no job may be lost or double-counted, simulated time must be monotone
@@ -28,30 +32,25 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.experiments.configs import LabeledConfig
+from repro.experiments.configs import (
+    LabeledConfig,
+    default_chaos_config,
+    fresh_run_config,
+    overload_config,
+)
 from repro.experiments.pool import CellJob, CellOutcome, SweepSpec, run_sweep
 from repro.experiments.pool import execute_cell as _execute_cell
-from repro.experiments.runner import (
-    LiveRun,
-    RunConfig,
-    SystemConfig,
-    build_live_run,
-)
-from repro.faults import FaultModel, OutageWindow
+from repro.experiments.runner import LiveRun, RunConfig, build_live_run
 from repro.metrics.collector import WALL_TIME_METRIC_KEYS, RunMetrics
 from repro.obs.logs import get_logger, kv
-from repro.resilience.breaker import InjectedSolverFailures, LadderConfig
 from repro.resilience.checkpoint import (
     CheckpointConfig,
-    deterministic_run_config,
-    fresh_run_config,
     restore_run,
     run_with_checkpoints,
 )
-from repro.workload import SyntheticWorkloadParams
 
 _LOG = get_logger("resilience.chaos")
 
@@ -139,70 +138,6 @@ def _comparable(metrics: RunMetrics) -> Dict[str, float]:
 
 
 # --------------------------------------------------------------------------
-# Scenario configs
-# --------------------------------------------------------------------------
-
-
-def default_chaos_config(
-    seed: int = 0,
-    num_jobs: int = 8,
-    arrival_rate: float = 0.05,
-    faults: bool = True,
-    ladder: Optional[LadderConfig] = None,
-) -> RunConfig:
-    """A small, fault-ridden, fully deterministic mrcp-rm run.
-
-    Big enough to exercise retries, an outage window and re-plans; small
-    enough that a kill/restore cycle completes in seconds.  Always pinned
-    (:func:`deterministic_run_config`) so O replays byte-identically.
-    """
-    fault_model = None
-    if faults:
-        fault_model = FaultModel(
-            task_failure_prob=0.15,
-            outages=(OutageWindow(0, 30.0, 15.0),),
-            seed=seed,
-        )
-    config = RunConfig(
-        scheduler="mrcp-rm",
-        workload="synthetic",
-        synthetic=SyntheticWorkloadParams(
-            num_jobs=num_jobs,
-            map_tasks_range=(1, 3),
-            reduce_tasks_range=(1, 2),
-            e_max=8,
-            ar_probability=0.2,
-            s_max=50,
-            deadline_multiplier_max=3.0,
-            arrival_rate=arrival_rate,
-        ),
-        system=SystemConfig(num_resources=2, map_slots=2, reduce_slots=2),
-        faults=fault_model,
-        seed=seed,
-    )
-    if ladder is not None:
-        config = replace(config, mrcp=replace(config.mrcp, resilience=ladder))
-    return deterministic_run_config(config)
-
-
-def escalation_ladder(rounds: int = 1) -> LadderConfig:
-    """A ladder configured to demonstrably walk all four rungs.
-
-    Injected failures make the first ``rounds`` attempts of each CP rung
-    and of EDF fail, so early invocations escalate to ``greedy``, the
-    breakers trip open, and later invocations recover rung by rung as the
-    probes succeed -- the full state machine in one short run.
-    """
-    return LadderConfig(
-        failure_threshold=1,
-        cooldown=2,
-        chaos=InjectedSolverFailures(
-            counts={"cp_full": rounds + 2, "cp_limited": rounds + 1, "edf": rounds}
-        ),
-    )
-
-
-# --------------------------------------------------------------------------
 # Scenario: kill at a checkpoint, restore, compare
 # --------------------------------------------------------------------------
 
@@ -281,9 +216,7 @@ def kill_restore_cycle(
 
 
 def overload_burst(
-    config: Optional[RunConfig] = None,
-    burst_factor: float = 10.0,
-    replication: int = 0,
+    config: Optional[RunConfig] = None, replication: int = 0
 ) -> ChaosReport:
     """Arrival spike + failing CP rungs: the ladder must absorb the load.
 
@@ -294,15 +227,7 @@ def overload_burst(
     degradation).
     """
     if config is None:
-        base = default_chaos_config(faults=False, ladder=escalation_ladder())
-        base = replace(
-            base,
-            synthetic=replace(
-                base.synthetic,
-                arrival_rate=base.synthetic.arrival_rate * burst_factor,
-            ),
-        )
-        config = base
+        config = overload_config()
     violations: List[str] = []
 
     run = build_live_run(fresh_run_config(config), replication)

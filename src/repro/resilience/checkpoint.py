@@ -20,13 +20,13 @@ continues to byte-identical O/N/T/P versus an uninterrupted same-seed
 run.
 
 Determinism contract: byte-identical *O* additionally requires the run to
-be pinned -- a :class:`~repro.experiments.pool.PinnedClock` as the wall
-clock and a fail-limited deterministic solver budget (LNS off), exactly
-the recipe the sweep pool and bench suite already use;
-:func:`deterministic_run_config` applies it.  Unpinned runs still replay
-to identical N/T/P and identical structural state; real wall-clock
-readings land in the snapshot's ``volatile`` section, which is recorded
-for debugging but never compared.
+be pinned -- a :class:`~repro.obs.clocks.PinnedClock` as the wall clock
+and a fail-limited deterministic solver budget (LNS off), exactly the
+recipe the sweep pool uses;
+:func:`~repro.experiments.configs.deterministic_run_config` applies it.
+Unpinned runs still replay to identical N/T/P and identical structural
+state; real wall-clock readings land in the snapshot's ``volatile``
+section, which is recorded for debugging but never compared.
 
 Checkpoint files are written atomically (``tmp + os.replace``) so a kill
 mid-write leaves the previous complete checkpoint, never a torn one.
@@ -37,16 +37,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.experiments.pool import PinnedClock, deterministic_solver_params
+from repro.experiments.configs import fresh_run_config
 from repro.experiments.runner import LiveRun, RunConfig, build_live_run
 from repro.ioutil import atomic_write_json
 from repro.metrics.collector import RunMetrics
+from repro.obs.clocks import PinnedClock
 from repro.obs.logs import get_logger, kv
 from repro.obs.structdiff import format_entries, structural_diff
-from repro.resilience.breaker import InjectedSolverFailures
 
 _LOG = get_logger("resilience.checkpoint")
 
@@ -119,58 +119,9 @@ def config_fingerprint(config: RunConfig, replication: int) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def deterministic_run_config(config: RunConfig) -> RunConfig:
-    """Pin ``config`` so overhead O replays byte-identically.
-
-    The same recipe the sweep pool uses for its deterministic cells: a
-    fresh :class:`PinnedClock` as the wall clock (O counts clock samples)
-    and a fail-limited, LNS-free solver budget (search effort becomes
-    machine-independent).
-    """
-    return replace(
-        config,
-        mrcp=replace(
-            config.mrcp,
-            solver=deterministic_solver_params(config.mrcp.solver),
-        ),
-        obs=replace(config.obs, wall_clock=PinnedClock()),
-    )
-
-
 def _is_pinned(run: LiveRun) -> bool:
     """Whether the run's wall clock is deterministic (PinnedClock)."""
     return isinstance(run.config.obs.wall_clock, PinnedClock)
-
-
-def fresh_run_config(config: RunConfig) -> RunConfig:
-    """Reset the config's run-mutated carriers to their virgin state.
-
-    Two config-embedded objects mutate as a run consumes them: the
-    :class:`PinnedClock` (its sample count) and the ladder's
-    :class:`~repro.resilience.breaker.InjectedSolverFailures` (its
-    consumed-budget bookkeeping).  Reusing one config object for a
-    checkpointed run *and* its restore -- or for two runs that must agree
-    -- would otherwise start the second run mid-state and fork it from
-    the first.  The pool applies the same per-attempt reset to its clock.
-    """
-    clock = config.obs.wall_clock
-    if isinstance(clock, PinnedClock) and clock.count:
-        config = replace(
-            config, obs=replace(config.obs, wall_clock=PinnedClock(clock.tick))
-        )
-    ladder = config.mrcp.resilience
-    if ladder is not None and ladder.chaos is not None and ladder.chaos.consumed:
-        config = replace(
-            config,
-            mrcp=replace(
-                config.mrcp,
-                resilience=replace(
-                    ladder,
-                    chaos=InjectedSolverFailures(counts=dict(ladder.chaos.counts)),
-                ),
-            ),
-        )
-    return config
 
 
 def canonical(payload: object) -> object:

@@ -354,7 +354,11 @@ class SchedulerService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await _read_request(reader)
+            try:
+                request = await _read_request(reader)
+            except _BadRequest as exc:
+                await _write_response(writer, 400, {"error": str(exc)})
+                return
             if request is None:
                 return
             method, path, body = request
@@ -405,14 +409,28 @@ class SchedulerService:
 
 
 # ------------------------------------------------------------- HTTP helpers
+class _BadRequest(Exception):
+    """An unparseable request head; the connection is answered with 400."""
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request-head line; an over-long line is a client error."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # StreamReader's line-length limit
+        raise _BadRequest(f"request head line too long: {exc}") from None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, bytes]]:
-    """Parse one HTTP/1.1 request: (method, path, body)."""
-    try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
-        return None
+    """Parse one HTTP/1.1 request: (method, path, body).
+
+    Returns None when the client closed before sending a request line;
+    raises :class:`_BadRequest` for an over-long line or a
+    ``Content-Length`` that is not a non-negative integer.
+    """
+    request_line = await _read_line(reader)
     if not request_line:
         return None
     parts = request_line.decode("latin-1").split()
@@ -421,15 +439,15 @@ async def _read_request(
     method, path = parts[0].upper(), parts[1]
     content_length = 0
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if not line or line in (b"\r\n", b"\n"):
             break
         name, _, value = line.decode("latin-1").partition(":")
         if name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                content_length = 0
+            value = value.strip()
+            if not (value.isascii() and value.isdigit()):
+                raise _BadRequest(f"bad Content-Length {value!r}")
+            content_length = int(value)
     body = b""
     if content_length > 0:
         body = await reader.readexactly(content_length)

@@ -1,4 +1,8 @@
-"""Figure/ablation configuration definitions."""
+"""Figure/ablation configuration definitions and the pinned scenarios."""
+
+import hashlib
+import json
+from dataclasses import replace
 
 import pytest
 
@@ -6,11 +10,22 @@ from repro.core.formulation import FormulationMode
 from repro.experiments.configs import (
     PAPER,
     SCALED,
+    default_chaos_config,
+    default_diff_config,
     default_facebook_params,
     default_synthetic_params,
+    demo_config,
+    escalation_ladder,
     figure_series,
+    forensics_config,
+    fresh_run_config,
     list_figures,
+    overload_config,
 )
+from repro.experiments.runner import build_live_run
+from repro.faults import FaultModel
+from repro.resilience.checkpoint import config_fingerprint
+from repro.workload import make_uniform_cluster
 
 
 def test_all_figures_listed():
@@ -117,3 +132,102 @@ def test_series_have_fresh_param_objects():
     a, b = series.configs[0].config, series.configs[1].config
     assert a.synthetic is not b.synthetic
     assert a.system is not b.system or a.system == b.system
+
+
+# ------------------------------------------------------------ pinned scenarios
+# Values captured from the hand-wired builders these scenarios replaced:
+# the fingerprints from the chaos/diff modules' configs, the job digests
+# from the demo's and the report's own workload generation.
+
+
+@pytest.mark.parametrize(
+    "build,fingerprint",
+    [
+        (lambda: default_chaos_config(), "4851aac5410be983"),
+        (
+            lambda: default_chaos_config(faults=False, ladder=escalation_ladder()),
+            "b5fcae8ba1c2888f",
+        ),
+        (lambda: overload_config(), "8b583b83e344f8be"),
+        (lambda: default_diff_config(), "a3385170c427b7ff"),
+        (lambda: default_diff_config(fail_limit=1), "7f9bd5a65a46a57c"),
+    ],
+    ids=["chaos", "chaos_ladder", "overload", "diff", "diff_fail_limit_1"],
+)
+def test_scenario_fingerprints_are_pinned(build, fingerprint):
+    """Checkpoints taken before the scenarios moved still restore."""
+    assert config_fingerprint(build(), 0) == fingerprint
+
+
+def _job_digest(jobs):
+    rows = [
+        [
+            j.id,
+            j.arrival_time,
+            j.earliest_start,
+            j.deadline,
+            [t.duration for t in j.map_tasks],
+            [t.duration for t in j.reduce_tasks],
+        ]
+        for j in jobs
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+_DEMO_FAULTS = FaultModel(
+    task_failure_prob=0.15, straggler_prob=0.1, straggler_factor=2.5
+)
+
+
+@pytest.mark.parametrize(
+    "seed,digest",
+    [
+        (0, "a787a58f40d83b03"),
+        (1, "517db3a1bc698b2d"),
+        (7, "f8b0e387fb889b5b"),
+        (42, "53d372b851ec1f63"),
+    ],
+)
+@pytest.mark.parametrize("faults", [False, True])
+def test_demo_scenario_draws_the_seeded_stream(seed, digest, faults):
+    config = demo_config(faults=_DEMO_FAULTS if faults else None)
+    run = build_live_run(config, replication=seed)
+    assert _job_digest(run.jobs) == digest
+    assert run.resources == make_uniform_cluster(4, 2, 2)
+    expected = replace(_DEMO_FAULTS, seed=seed) if faults else None
+    assert run.manager.config.faults == expected
+
+
+@pytest.mark.parametrize(
+    "seed,digest",
+    [(0, "213ee553b1e8558d"), (3, "9014c5b284e544ef"), (42, "805e0e9550f245f7")],
+)
+@pytest.mark.parametrize("faults", [False, True])
+def test_forensics_scenario_draws_the_seeded_stream(seed, digest, faults):
+    run = build_live_run(forensics_config(faults=faults), replication=seed)
+    assert _job_digest(run.jobs) == digest
+    assert run.resources == make_uniform_cluster(4, 2, 2)
+    assert run.tracer.enabled and run.sampler.enabled
+    assert run.manager.config.record_plan_history
+    expected = None
+    if faults:
+        expected = FaultModel(
+            task_failure_prob=0.15,
+            straggler_prob=0.2,
+            straggler_factor=2.0,
+            outage_rate=0.002,
+            outage_duration_range=(30.0, 90.0),
+            outage_horizon=2000.0,
+            seed=seed,
+        )
+    assert run.manager.config.faults == expected
+
+
+def test_fresh_run_config_resets_only_consumed_carriers():
+    config = overload_config()
+    assert fresh_run_config(config) is config
+    build_live_run(config).finish()
+    fresh = fresh_run_config(config)
+    assert fresh.obs.wall_clock.count == 0
+    assert not fresh.mrcp.resilience.chaos.consumed
+    assert config_fingerprint(fresh, 0) == config_fingerprint(config, 0)

@@ -11,14 +11,12 @@ import random
 
 import pytest
 
-from repro.experiments.configs import LabeledConfig
+from repro.experiments.configs import LabeledConfig, deterministic_solver_params
 from repro.experiments.pool import (
     CellJob,
     CellOutcome,
-    PinnedClock,
     SweepSpec,
     cell_seed,
-    deterministic_solver_params,
     execute_cell,
     merge_outcomes,
     run_sweep,
@@ -26,6 +24,7 @@ from repro.experiments.pool import (
     workload_key,
 )
 from repro.experiments.runner import RunConfig, SystemConfig
+from repro.obs.clocks import PinnedClock
 from repro.workload import SyntheticWorkloadParams
 
 

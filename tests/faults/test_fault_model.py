@@ -49,6 +49,40 @@ def test_invalid_models_rejected(kwargs):
         FaultModel(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: OutageWindow(0, float("nan"), 5.0),
+        lambda: OutageWindow(0, 5.0, float("nan")),
+        lambda: FaultModel(straggler_factor=float("nan")),
+        lambda: FaultModel(jitter_sigma=float("nan")),
+        lambda: FaultModel(outage_rate=float("nan")),
+        lambda: FaultModel(
+            outage_rate=0.1,
+            outage_duration_range=(1.0, 5.0),
+            outage_horizon=float("nan"),
+        ),
+    ],
+    ids=[
+        "outage_start",
+        "outage_duration",
+        "straggler_factor",
+        "jitter_sigma",
+        "outage_rate",
+        "outage_horizon",
+    ],
+)
+def test_nan_fault_parameters_rejected(build):
+    """NaN slips past ``< 0`` checks; it must fail at construction."""
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_infinite_fault_parameters_keep_their_meaning():
+    assert OutageWindow(0, 1.0, float("inf")).end == float("inf")
+    assert FaultModel(straggler_factor=float("inf")).straggler_factor > 0
+
+
 def test_outage_window_validation():
     with pytest.raises(ValueError):
         OutageWindow(0, -1.0, 5.0)

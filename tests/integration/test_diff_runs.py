@@ -19,11 +19,11 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.experiments.configs import default_diff_config
 from repro.obs.diff import (
     DIFF_SCHEMA,
     bisect_divergence,
     capture_run_dir,
-    default_diff_config,
     diff_runs,
     load_run_dir,
     write_diff_json,

@@ -2,11 +2,17 @@
 
 import json
 
-from repro import quick_demo
-from repro.experiments.runner import RunConfig, SystemConfig, run_once
+from dataclasses import replace
+
+from repro.experiments.configs import demo_config
+from repro.experiments.runner import (
+    RunConfig,
+    SystemConfig,
+    build_live_run,
+    run_once,
+)
 from repro.metrics.collector import WALL_TIME_METRIC_KEYS
 from repro.obs import ObsConfig
-from repro.obs.trace import TraceRecorder, Tracer
 from repro.workload import SyntheticWorkloadParams
 
 SEED = 7
@@ -17,12 +23,17 @@ def _clock():
     return 0.0
 
 
+def _demo_run(seed, trace):
+    config = replace(demo_config(), obs=ObsConfig(trace=trace, wall_clock=_clock))
+    return build_live_run(config, replication=seed)
+
+
 def _demo_pair(seed=SEED):
-    """Same-seed quick_demo metrics with tracing off and on."""
-    untraced = quick_demo(seed=seed, tracer=Tracer(None, wall_clock=_clock))
-    tracer = Tracer(TraceRecorder(), wall_clock=_clock)
-    traced = quick_demo(seed=seed, tracer=tracer)
-    return untraced, traced, tracer
+    """Same-seed demo metrics with tracing off and on."""
+    untraced = _demo_run(seed, trace=False).finish()
+    run = _demo_run(seed, trace=True)
+    traced = run.finish()
+    return untraced, traced, run.tracer
 
 
 def test_tracing_does_not_change_any_metric():

@@ -8,8 +8,10 @@ runs to completion.
 
 import json
 import os
+from dataclasses import replace
 
-from repro.experiments.configs import LabeledConfig
+from repro import MrcpRmConfig
+from repro.experiments.configs import LabeledConfig, escalation_ladder
 from repro.experiments.pool import (
     SweepSpec,
     execute_cell,
@@ -73,6 +75,26 @@ def test_parallel_output_byte_identical_to_sequential(tmp_path):
         seq_bytes = (seq_dir / name).read_bytes()
         par_bytes = (par_dir / name).read_bytes()
         assert seq_bytes == par_bytes, f"{name} differs between worker counts"
+    assert seq.to_json() == par.to_json()
+
+
+def test_ladder_budget_is_fresh_per_cell_at_every_worker_count():
+    # Every cell shares one InjectedSolverFailures object through the spec.
+    # A forked worker unpickles its own copy; in-process cells must not
+    # inherit the budget an earlier cell consumed, or workers=1 diverges.
+    config = replace(
+        _config(0.5), mrcp=MrcpRmConfig(resilience=escalation_ladder())
+    )
+    spec = SweepSpec(
+        name="ladder",
+        configs=[LabeledConfig("burst", 0.5, "mrcp-rm", config)],
+        factor="arrival_rate",
+        replications=3,
+        root_seed=9,
+    )
+    seq = run_sweep(spec, workers=1)
+    par = run_sweep(spec, workers=2)
+    assert not seq.failed_cells and not par.failed_cells
     assert seq.to_json() == par.to_json()
 
 

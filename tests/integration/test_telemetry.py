@@ -8,7 +8,6 @@ O different run to run regardless of telemetry.
 import json
 from dataclasses import replace
 
-from repro.experiments.pool import PinnedClock
 from repro.experiments.runner import (
     RunConfig,
     SystemConfig,
@@ -16,6 +15,7 @@ from repro.experiments.runner import (
     run_once,
 )
 from repro.obs import ObsConfig
+from repro.obs.clocks import PinnedClock
 from repro.obs.export import (
     render_openmetrics,
     render_series_openmetrics,
@@ -54,23 +54,9 @@ def _telemetry(**kw):
 
 def _overload_config(seed=0, telemetry=None):
     """The CLI's overload-burst scenario: 10x arrivals, degrading ladder."""
-    from repro.resilience.chaos import (
-        default_chaos_config,
-        escalation_ladder,
-        fresh_run_config,
-    )
+    from repro.experiments.configs import overload_config
 
-    config = default_chaos_config(
-        seed=seed, faults=False, ladder=escalation_ladder()
-    )
-    config = replace(
-        config,
-        synthetic=replace(
-            config.synthetic,
-            arrival_rate=config.synthetic.arrival_rate * 10.0,
-        ),
-    )
-    config = fresh_run_config(config)
+    config = overload_config(seed=seed)
     if telemetry is not None:
         config = replace(config, obs=replace(config.obs, telemetry=telemetry))
     return config

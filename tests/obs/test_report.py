@@ -2,21 +2,23 @@
 
 import pytest
 
+from dataclasses import replace
+
 from repro import quick_demo
+from repro.experiments.configs import demo_config
+from repro.experiments.runner import build_live_run
 from repro.obs import ObsConfig
 from repro.obs.forensics import attribute_lateness
 from repro.obs.report import render_report, write_report
-from repro.workload import make_uniform_cluster
 
 
 @pytest.fixture(scope="module")
 def traced_run():
-    """One traced quick-demo run shared across the module's tests."""
-    tracer = ObsConfig(trace=True).make_tracer()
-    metrics = quick_demo(seed=3, tracer=tracer)
-    # quick_demo builds exactly this cluster internally
-    resources = make_uniform_cluster(4, 2, 2)
-    return metrics, resources, tracer.recorder.events
+    """One traced demo run shared across the module's tests."""
+    config = replace(demo_config(), obs=ObsConfig(trace=True))
+    run = build_live_run(config, replication=3)
+    metrics = run.finish()
+    return metrics, run.resources, run.tracer.recorder.events
 
 
 def test_report_is_self_contained(traced_run, tmp_path):

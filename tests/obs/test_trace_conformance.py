@@ -1,8 +1,10 @@
 """Strict Chrome trace-event conformance: validator unit tests + real runs."""
 
 import json
+from dataclasses import replace
 
-from repro import quick_demo
+from repro.experiments.configs import demo_config
+from repro.experiments.runner import build_live_run
 from repro.obs import ObsConfig
 from repro.obs.conformance import (
     INSTANT_SCOPES,
@@ -108,10 +110,16 @@ def test_document_validation(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _traced_demo(seed):
+    """Run the demo scenario at ``seed`` with tracing on; returns its tracer."""
+    config = replace(demo_config(), obs=ObsConfig(trace=True))
+    run = build_live_run(config, replication=seed)
+    run.finish()
+    return run.tracer
+
+
 def test_real_run_trace_is_conformant():
-    tracer = ObsConfig(trace=True).make_tracer()
-    quick_demo(seed=3, tracer=tracer)
-    events = tracer.recorder.events
+    events = _traced_demo(3).recorder.events
     assert events
     assert validate_trace_events(events) == []
     # the headline int64 requirements, asserted directly as well
@@ -127,8 +135,6 @@ def test_real_run_trace_is_conformant():
 
 def test_written_trace_file_is_conformant(tmp_path):
     out = tmp_path / "trace.json"
-    tracer = ObsConfig(trace_out=str(out)).make_tracer()
-    quick_demo(seed=5, tracer=tracer)
-    tracer.write(str(out))
+    _traced_demo(5).write(str(out))
     doc = json.loads(out.read_text())
     assert validate_trace_document(doc) == []

@@ -7,9 +7,8 @@ on the report rather than re-deriving the checks.
 
 import pytest
 
+from repro.experiments.configs import default_chaos_config, escalation_ladder
 from repro.resilience.chaos import (
-    default_chaos_config,
-    escalation_ladder,
     kill_restore_cycle,
     overload_burst,
     pool_worker_death,

@@ -5,14 +5,13 @@ import os
 
 import pytest
 
-from repro.resilience.chaos import default_chaos_config
+from repro.experiments.configs import default_chaos_config, fresh_run_config
 from repro.resilience.checkpoint import (
     CheckpointConfig,
     CheckpointError,
     CheckpointMismatch,
     capture_snapshot,
     config_fingerprint,
-    fresh_run_config,
     list_checkpoints,
     load_snapshot,
     restore_run,

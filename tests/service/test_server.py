@@ -335,6 +335,56 @@ def test_malformed_submit_body_is_a_client_error(body, status):
         assert payload["error"].startswith("bad JSON")
 
 
+async def _send_raw(port: int, request: bytes):
+    """Send raw request bytes; (status, parsed JSON body)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(request)
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    head_part, _, body_part = raw.partition(b"\r\n\r\n")
+    return int(head_part.split()[1]), json.loads(body_part)
+
+
+_LONG = b"a" * 70_000  # over the StreamReader's 64 KiB line limit
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [
+        b"GET /" + _LONG + b" HTTP/1.1\r\n\r\n",
+        b"POST /submit HTTP/1.1\r\nX-Pad: " + _LONG + b"\r\n\r\n",
+        b"POST /submit HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
+        b"POST /submit HTTP/1.1\r\nContent-Length: two\r\n\r\n{}",
+    ],
+    ids=["long_request_line", "long_header_line", "negative_length", "bad_length"],
+)
+def test_malformed_request_head_is_a_client_error(request_bytes):
+    """An over-long line or a bad Content-Length gets a 400, never a 500."""
+
+    async def run():
+        svc = SchedulerService(
+            resources=make_uniform_cluster(1, 1, 1),
+            config=ServiceConfig(
+                batching=BatchingConfig(max_batch_size=1, max_hold_seconds=0.01),
+                port=0,
+            ),
+        )
+        serve_task = asyncio.create_task(svc.serve())
+        while svc.bound_port is None:
+            await asyncio.sleep(0.01)
+        try:
+            return await _send_raw(svc.bound_port, request_bytes)
+        finally:
+            await _http_json("127.0.0.1", svc.bound_port, "POST", "/shutdown")
+            await asyncio.wait_for(serve_task, timeout=5.0)
+
+    status, payload = asyncio.run(run())
+    assert status == 400
+    assert "error" in payload
+
+
 class TestJsonOverHttpParity:
     def test_quote_round_trips_through_json(self):
         svc = service(max_batch_size=1)
